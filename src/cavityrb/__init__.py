@@ -11,11 +11,10 @@ drop the stabilization terms.
 from .assembly import GeometryMap, StabilizationConfig
 from .hifi import FeSolution, FlowSystem, ProblemConfig
 from .rb import (GreedyTrace, ReducedModel, SupremizerOperator,
-                 build_reduced_model, enrich_supremizers, greedy_offline,
-                 load_model, modified_infsup, plain_infsup, reconstruct,
-                 save_model, solve_reduced, solve_reduced_ns,
-                 solve_reduced_stokes, strip_supremizers, truncate_model,
-                 with_option)
+                 build_reduced_model, greedy_offline, load_model,
+                 modified_infsup, plain_infsup, reconstruct, save_model,
+                 solve_reduced, solve_reduced_ns, solve_reduced_stokes,
+                 truncate_model, with_option)
 from .analysis import (ConvergenceResult, ErrorReport, convergence_study,
                        error_sweep, infsup_profile, manufactured_errors,
                        relative_errors)
@@ -27,12 +26,12 @@ __version__ = "0.1.0"
 __all__ = [
     "GeometryMap", "StabilizationConfig", "FeSolution", "FlowSystem",
     "ProblemConfig", "GreedyTrace", "ReducedModel", "SupremizerOperator",
-    "build_reduced_model", "enrich_supremizers", "greedy_offline",
-    "load_model", "modified_infsup", "plain_infsup", "reconstruct",
-    "save_model", "solve_reduced", "solve_reduced_ns",
-    "solve_reduced_stokes", "strip_supremizers", "truncate_model",
-    "with_option", "ConvergenceResult", "ErrorReport", "convergence_study",
-    "error_sweep", "infsup_profile", "manufactured_errors",
-    "relative_errors", "ConfigError", "NonConvergenceError",
+    "build_reduced_model", "greedy_offline", "load_model",
+    "modified_infsup", "plain_infsup", "reconstruct", "save_model",
+    "solve_reduced", "solve_reduced_ns", "solve_reduced_stokes",
+    "truncate_model", "with_option", "ConvergenceResult", "ErrorReport",
+    "convergence_study", "error_sweep", "infsup_profile",
+    "manufactured_errors", "relative_errors", "ConfigError",
+    "NonConvergenceError",
     "PointNotFoundError", "SingularSystemError", "__version__",
 ]

@@ -119,16 +119,16 @@ class AffineOperator:
     def q(self) -> int:
         return len(self.terms)
 
+    def __iter__(self):
+        """The (theta-tag, matrix) terms, in summation order."""
+        return iter(self.terms)
+
     def evaluate(self, geometry: GeometryMap, mu):
         out = None
         for tag, m in self.terms:
             piece = geometry.theta(tag, mu) * m
             out = piece if out is None else out + piece
         return out
-
-    def transposed(self) -> "AffineOperator":
-        return AffineOperator([(tag, m.T.tocsr() if scipy.sparse.issparse(m)
-                                else m.T) for tag, m in self.terms])
 
     def project(self, left: np.ndarray, right: np.ndarray) -> "AffineOperator":
         """Galerkin projection left^T M_q right of every term (dense)."""
@@ -360,10 +360,6 @@ class ConvectionAssembler:
             terms.append((tag, self._jac_pat[e].assemble(loc.ravel())))
         return AffineOperator(terms)
 
-    def apply(self, w: np.ndarray, v: np.ndarray, geometry: GeometryMap,
-              mu) -> np.ndarray:
-        return self.matrix(w).evaluate(geometry, mu) @ v
-
 
 class SupgAssembler:
     """Convective part of the streamline-derivative continuity coupling.
@@ -438,14 +434,12 @@ class StabilizationConfig:
     method: one of None, BrezziPitkaranta, ResidualBased, SUPGFamily,
     EdgeJumpP1P0 (strings; "None" disables).  rho selects the momentum
     test-function variant of the residual family; the continuity-row
-    terms (rho = 0) are the supported default.  apply_online False
-    restricts the stabilization to snapshot generation.
+    terms (rho = 0) are the supported default.
     """
 
     method: str = "None"
     delta: float = 0.0
     rho: float = 0.0
-    apply_online: bool = True
 
     def __post_init__(self):
         if self.method not in STAB_METHODS:

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import StabilizationConfig, dump_affine_operator
+from .assembly import STAB_METHODS, StabilizationConfig, dump_affine_operator
 from .analysis import (INFSUP_HEADER, SWEEP_HEADER, error_sweep,
                        infsup_profile, relative_errors)
 from .fespace import vertex_point_fields
-from .hifi import PAIRS, FeSolution, FlowSystem, ProblemConfig
+from .hifi import PAIRS, PROBLEMS, FeSolution, FlowSystem, ProblemConfig
 from .rb import (OPTIONS, greedy_offline, load_model, reconstruct,
                  save_model, solve_reduced, with_option)
 from .util import (ConfigError, NonConvergenceError, SingularSystemError,
@@ -35,10 +35,9 @@ from .util import (ConfigError, NonConvergenceError, SingularSystemError,
 TRACE_HEADER = ("n", "mu1", "mu2", "max_indicator")
 
 _STR_KEYS = {
-    "problem": ("stokes", "navier_stokes"),
+    "problem": PROBLEMS,
     "fe_pair": tuple(PAIRS),
-    "stabilization.method": ("None", "BrezziPitkaranta", "ResidualBased",
-                             "SUPGFamily", "EdgeJumpP1P0"),
+    "stabilization.method": STAB_METHODS,
     "option": OPTIONS,
 }
 _FLOAT_KEYS = ("stabilization.delta", "stabilization.rho", "mu1.min",

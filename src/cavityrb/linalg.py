@@ -1,10 +1,10 @@
 """Sparse and dense linear algebra helpers.
 
 Wraps a handful of SciPy routines behind the interfaces the solvers
-need: deterministic COO->CSR finalization with a reusable sparsity
-pattern, an LU factorization that reports structural singularity
-instead of silently returning garbage, Gram-orthonormalization, and a
-generalized smallest-singular-value solve.
+need: deterministic CSR assembly into a reusable sparsity pattern, an
+LU factorization that reports singularity instead of silently
+returning garbage, Gram-orthonormalization, and a generalized
+smallest-singular-value solve.
 """
 
 from __future__ import annotations
@@ -19,13 +19,6 @@ from .util import SingularSystemError
 # Backward-stable LU produces small residuals even on numerically
 # singular systems, so singularity is detected from the pivot spread.
 PIVOT_RATIO_TOL = 1e-13
-
-
-def finalize_csr(rows, cols, data, shape) -> scipy.sparse.csr_matrix:
-    """Sum duplicate COO entries into canonical CSR form."""
-    m = scipy.sparse.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
-    m.sum_duplicates()
-    return m
 
 
 class CsrPattern:
@@ -151,9 +144,3 @@ def smallest_gsv(b: np.ndarray, gram_u: np.ndarray, gram_p: np.ndarray) -> float
     w = scipy.linalg.eigh(m, np.asarray(gram_p, dtype=float), eigvals_only=True)
     return float(np.sqrt(max(w[0], 0.0)))
 
-
-def eigh_smallest(m: np.ndarray, gram: np.ndarray):
-    """All eigenpairs of the symmetric pencil (m, gram), ascending."""
-    m = 0.5 * (np.asarray(m, dtype=float) + np.asarray(m, dtype=float).T)
-    w, v = scipy.linalg.eigh(m, np.asarray(gram, dtype=float))
-    return w, v

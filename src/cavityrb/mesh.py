@@ -120,10 +120,6 @@ class Mesh:
             tags.append(boundary_tags[key])
         self.boundary_edge_tags = tags
 
-    @property
-    def interior_edge_lengths(self) -> np.ndarray:
-        return self.edge_lengths[self.interior_edges]
-
     def total_area(self) -> float:
         return float(self.areas.sum())
 

@@ -11,21 +11,23 @@ Online: dense solves under four formulations,
     (ii)  plain velocity space, stabilization blocks kept,
     (iii) enriched velocity space, stabilization dropped online,
     (iv)  plain velocity space, stabilization dropped online.
-Supremizer columns are orthonormalized after the velocity block, so the
-plain-space variants are exact leading sub-blocks of the enriched
-operators.
+Only the enriched option-i model is built.  Supremizer columns are
+orthonormalized after the velocity block, so the plain-space options are
+views of leading blocks of it, and truncating to the first greedy
+snapshots is a change of basis in reduced coordinates.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .assembly import GeometryMap
+from .assembly import AffineOperator, GeometryMap
 from .hifi import FeSolution, FlowSystem
 from .fespace import FeFunction
 from .linalg import SparseLU, modified_gram_schmidt, smallest_gsv
@@ -57,14 +59,6 @@ def _check_option(option: str) -> str:
     if option not in OPTIONS:
         raise ValueError(f"unknown option {option!r}; expected one of {OPTIONS}")
     return option
-
-
-def _ev(terms, geometry: GeometryMap, mu) -> np.ndarray:
-    out = None
-    for tag, m in terms:
-        piece = geometry.theta(tag, mu) * m
-        out = piece if out is None else out + piece
-    return out
 
 
 def _dense_solve(k: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
@@ -109,14 +103,35 @@ class GreedyTrace:
     seed: int
 
 
+# Bases of every reduced array, one entry per axis: "v" the reduced
+# velocity (velocity then supremizer columns), "p" the reduced pressure,
+# "n" the greedy snapshots, None a full-order or fixed axis.  The table
+# drives option views, truncation and the .rbm format.
+_AXES = {
+    "z_v": (None, "v"), "z_p": (None, "p"), "lifting": (None,),
+    "visc": ("v", "v"), "b": ("p", "v"), "suq": ("p", "v"),
+    "spq": ("p", "p"), "suv": ("v", "v"), "spv": ("v", "p"),
+    "fvisc": ("v",), "fconv": ("v",), "gplain": ("p",), "gstab": ("p",),
+    "dconv": ("v", "v"), "conv": ("v", "v", "v"),
+    "tn": ("p", "v", "v"), "tln": ("p", "v"), "tzln": ("p", "v"),
+    "tll": ("p",), "xu": ("v", "v"), "xp": ("p", "p"),
+    "mus": ("n", None), "indicators": ("n",), "sizes": ("n", None),
+    "u_snaps": (None, "n"), "p_snaps": (None, "n"),
+    "sup_coords": ("v", "n"),
+}
+
+
 @dataclass
 class ReducedModel:
     """Bases, projected operators, and the snapshots they came from.
 
-    All reduced operators are stored at the model's active velocity
-    dimension (enriched for options i/iii, plain for ii/iv); affine
-    pieces are (theta-tag, dense array) lists.  Snapshot matrices are
-    kept so the basis can be truncated, stripped, or re-enriched.
+    ``z_v`` holds the velocity basis (its first ``n_u`` columns) and
+    then the supremizer basis; ``_AXES`` names the bases of every array,
+    and the parameter-dependent blocks are AffineOperators.  ``sizes``
+    holds (n_u, n_p) after each greedy step and ``sup_coords`` the raw
+    supremizers in the coordinates of ``z_v``, which is all a truncation
+    needs.  A model from ``with_option`` is a view: its arrays are
+    leading blocks of those of ``master``, the model that owns them.
     """
 
     problem: str
@@ -131,44 +146,57 @@ class ReducedModel:
     seed: int
     nx: int
     ny: int
-    z_u: np.ndarray
-    z_s: np.ndarray
+    n_u: int
+    z_v: np.ndarray
     z_p: np.ndarray
     lifting: np.ndarray
-    lifting_coords: np.ndarray
-    visc: list
-    b: list
-    suq: list | None
-    spq: list | None
-    suv: list | None
-    spv: list | None
-    fvisc: list
-    fconv: list | None
-    gplain: list
-    gstab: list | None
-    dconv: list | None
-    conv_x: np.ndarray | None
-    conv_y: np.ndarray | None
+    visc: AffineOperator
+    b: AffineOperator
+    suq: AffineOperator | None
+    spq: AffineOperator | None
+    suv: AffineOperator | None
+    spv: AffineOperator | None
+    fvisc: AffineOperator
+    fconv: AffineOperator | None
+    gplain: AffineOperator
+    gstab: AffineOperator | None
+    dconv: AffineOperator | None
+    conv: AffineOperator | None
     tn: np.ndarray | None
     tln: np.ndarray | None
     tzln: np.ndarray | None
     tll: np.ndarray | None
     xu: np.ndarray
     xp: np.ndarray
-    mean: np.ndarray
     mus: np.ndarray
     indicators: np.ndarray
+    sizes: np.ndarray
     u_snaps: np.ndarray
     p_snaps: np.ndarray
-    sup_raw: np.ndarray
+    sup_coords: np.ndarray
+    # set by with_option; a copy made with dataclasses.replace owns its
+    # arrays and is its own master
+    master: ReducedModel | None = field(default=None, init=False,
+                                        repr=False, compare=False)
+
+    def __post_init__(self):
+        # blocks given as (tag, array) term lists become operators
+        for name in _AXES:
+            value = getattr(self, name)
+            if isinstance(value, list):
+                setattr(self, name, AffineOperator(value))
 
     @property
-    def n_u(self) -> int:
-        return self.z_u.shape[1]
+    def z_u(self) -> np.ndarray:
+        return self.z_v[:, :self.n_u]
+
+    @property
+    def z_s(self) -> np.ndarray:
+        return self.z_v[:, self.n_u:]
 
     @property
     def n_s(self) -> int:
-        return self.z_s.shape[1]
+        return self.n_vel - self.n_u
 
     @property
     def n_p(self) -> int:
@@ -176,7 +204,7 @@ class ReducedModel:
 
     @property
     def n_vel(self) -> int:
-        return self.n_u + self.n_s
+        return self.z_v.shape[1]
 
     @property
     def stab_online(self) -> bool:
@@ -187,9 +215,45 @@ class ReducedModel:
                            "direct" if self.problem == "stokes" else "inverse")
 
     def z_velocity(self) -> np.ndarray:
-        if self.n_s == 0:
-            return self.z_u
-        return np.concatenate([self.z_u, self.z_s], axis=1)
+        return self.z_v
+
+
+def _master(model: ReducedModel) -> ReducedModel:
+    return model if model.master is None else model.master
+
+
+def _map_axes(model: ReducedModel, cuts: dict, change=None) -> dict:
+    """The arrays that change when axes are cut or change basis.
+
+    ``cuts`` maps a basis kind to the number of leading entries kept (a
+    view); ``change`` = (kind, W) contracts every axis of that kind with
+    W, a change of basis as in W^T A W.
+    """
+    kinds = set(cuts) | ({change[0]} if change else set())
+    index: dict[tuple, tuple] = {}   # per axes signature, built once
+
+    def apply(a, axes):
+        if axes not in index:
+            index[axes] = tuple(slice(cuts.get(k)) for k in axes)
+        a = a[index[axes]]
+        if change is not None:
+            kind, w = change
+            for i, k in enumerate(axes):
+                if k == kind:
+                    a = np.moveaxis(np.tensordot(a, w, axes=(i, 0)), -1, i)
+        return a
+
+    out = {}
+    for name, axes in _AXES.items():
+        value = getattr(model, name)
+        if value is None or kinds.isdisjoint(axes):
+            continue
+        if isinstance(value, AffineOperator):
+            out[name] = AffineOperator([(tag, apply(m, axes))
+                                        for tag, m in value.terms])
+        else:
+            out[name] = apply(value, axes)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +292,6 @@ def test_parameters(mu1_range, mu2_range, size: int, seed: int,
     return out
 
 
-def _project(terms, left: np.ndarray, right: np.ndarray) -> list:
-    return [(tag, np.asarray(left.T @ (m @ right))) for tag, m in terms]
-
-
 def build_reduced_model(system: FlowSystem, mus: np.ndarray,
                         u_snaps: np.ndarray, p_snaps: np.ndarray,
                         sup_raw: np.ndarray, indicators: np.ndarray,
@@ -239,9 +299,10 @@ def build_reduced_model(system: FlowSystem, mus: np.ndarray,
     """Orthonormalize the snapshot sets and project every operator.
 
     Produces the enriched master model (option "i"); derive the other
-    options with ``with_option``.  Snapshot columns are used in greedy
-    order, so truncating to a prefix and rebuilding reproduces the
-    incremental construction exactly.
+    options with ``with_option`` and smaller bases with
+    ``truncate_model``.  Snapshot columns are used in greedy order, so
+    the velocity and pressure bases of a prefix of the snapshots are
+    prefixes of these.
     """
     cfg = system.config
     xu_full = system.gram_velocity
@@ -251,58 +312,57 @@ def build_reduced_model(system: FlowSystem, mus: np.ndarray,
     # Near-dependent snapshots are expected on slowly varying solution
     # manifolds: orthonormalization drops them and the bases simply end
     # up shorter than the snapshot count.
-    z_u, kept = modified_gram_schmidt([u_snaps[:, i] for i in range(n)],
-                                      xu_full)
-    _report_drops("velocity", n, kept)
+    z_u, kept_u = modified_gram_schmidt([u_snaps[:, i] for i in range(n)],
+                                        xu_full)
+    _report_drops("velocity", n, kept_u)
     z_s, kept = modified_gram_schmidt([sup_raw[:, i] for i in range(n)],
                                       xu_full, against=z_u)
     _report_drops("supremizer", n, kept)
-    z_p, kept = modified_gram_schmidt([p_snaps[:, i] for i in range(n)],
-                                      xp_full)
-    _report_drops("pressure", n, kept)
+    z_p, kept_p = modified_gram_schmidt([p_snaps[:, i] for i in range(n)],
+                                        xp_full)
+    _report_drops("pressure", n, kept_p)
     zv = np.concatenate([z_u, z_s], axis=1)
     nv = zv.shape[1]
     lvec = system.lifting.values
+    steps = np.arange(n)
 
-    visc = _project(system.viscous.terms, zv, zv)
-    b = _project(system.divergence.terms, z_p, zv)
+    def lifted(op, sign=1.0):
+        return AffineOperator([(tag, sign * (m @ lvec))
+                               for tag, m in op.terms])
+
     suq = spq = suv = spv = gstab = None
-    if system.stab is not None:
-        if system.stab.suq is not None:
-            suq = _project(system.stab.suq.terms, z_p, zv)
-        spq = _project(system.stab.spq.terms, z_p, z_p)
-        if system.stab.suv is not None:
-            suv = _project(system.stab.suv.terms, zv, zv)
-            spv = _project(system.stab.spv.terms, zv, z_p)
-        terms = []
-        if system.stab.suq is not None:
-            terms += [(tag, np.asarray(z_p.T @ (m @ lvec)))
-                      for tag, m in system.stab.suq.terms]
+    stab = system.stab
+    if stab is not None:
+        gterms = []
+        if stab.suq is not None:
+            suq = stab.suq.project(z_p, zv)
+            gterms += lifted(stab.suq).terms
+        spq = stab.spq.project(z_p, z_p)
+        if stab.suv is not None:
+            suv = stab.suv.project(zv, zv)
+            spv = stab.spv.project(zv, z_p)
         if system.stab_body_vec is not None:
-            terms.append(("one", np.asarray(z_p.T @ system.stab_body_vec)))
-        gstab = terms or None
+            gterms.append(("one", system.stab_body_vec))
+        if gterms:
+            gstab = AffineOperator(gterms).project_vector(z_p)
 
-    fvisc = [(tag, np.asarray(zv.T @ m)) for tag, m in
-             system.fbar_linear.terms]
-    gplain = [(tag, -np.asarray(z_p.T @ (m @ lvec)))
-              for tag, m in system.divergence.terms]
-
-    fconv = dconv = conv_x = conv_y = None
+    fconv = dconv = conv = None
     tn = tln = tzln = tll = None
     if system.convection is not None:
         cl = system.convection.matrix(lvec)
         dl = system.convection.transport_jacobian(lvec)
-        fconv = [(tag, -np.asarray(zv.T @ (m @ lvec))) for tag, m in cl.terms]
-        dconv = [(tag, np.asarray(zv.T @ ((m1 + m2) @ zv)))
-                 for (tag, m1), (_, m2) in zip(cl.terms, dl.terms)]
-        conv_x = np.empty((nv, nv, nv))
-        conv_y = np.empty((nv, nv, nv))
+        fconv = lifted(cl, -1.0).project_vector(zv)
+        dconv = AffineOperator([(tag, m1 + m2) for (tag, m1), (_, m2)
+                                in zip(cl.terms, dl.terms)]).project(zv, zv)
+        tensors = np.empty((len(cl.terms), nv, nv, nv))
         for j in range(nv):
-            cj = system.convection.matrix(zv[:, j])
-            conv_x[:, j, :] = zv.T @ (cj.terms[0][1] @ zv)
-            conv_y[:, j, :] = zv.T @ (cj.terms[1][1] @ zv)
-        if system.stab is not None and system.stab.supg is not None:
-            supg = system.stab.supg
+            cj = system.convection.matrix(zv[:, j]).project(zv, zv)
+            for e, (_, m) in enumerate(cj.terms):
+                tensors[e][:, j, :] = m
+        conv = AffineOperator([(tag, t) for (tag, _), t
+                               in zip(cl.terms, tensors)])
+        if stab is not None and stab.supg is not None:
+            supg = stab.supg
             tl = supg.transport(lvec)
             tll = np.asarray(z_p.T @ (tl @ lvec))
             tln = np.asarray(z_p.T @ (tl @ zv))
@@ -318,92 +378,71 @@ def build_reduced_model(system: FlowSystem, mus: np.ndarray,
         method=cfg.stabilization.method, delta=cfg.stabilization.delta,
         rho=cfg.stabilization.rho, option="i", mu_bar2=cfg.mu_bar2,
         mu1_range=tuple(cfg.mu1_range), mu2_range=tuple(cfg.mu2_range),
-        seed=seed, nx=system.mesh_nx, ny=system.mesh_ny,
-        z_u=z_u, z_s=z_s, z_p=z_p, lifting=lvec.copy(),
-        lifting_coords=np.asarray(zv.T @ (xu_full @ lvec)),
-        visc=visc, b=b, suq=suq, spq=spq, suv=suv, spv=spv,
-        fvisc=fvisc, fconv=fconv, gplain=gplain, gstab=gstab, dconv=dconv,
-        conv_x=conv_x, conv_y=conv_y, tn=tn, tln=tln, tzln=tzln, tll=tll,
+        seed=seed, nx=system.mesh_nx, ny=system.mesh_ny, n_u=z_u.shape[1],
+        z_v=zv, z_p=z_p, lifting=lvec.copy(),
+        visc=system.viscous.project(zv, zv),
+        b=system.divergence.project(z_p, zv),
+        suq=suq, spq=spq, suv=suv, spv=spv,
+        fvisc=system.fbar_linear.project_vector(zv), fconv=fconv,
+        gplain=lifted(system.divergence, -1.0).project_vector(z_p),
+        gstab=gstab, dconv=dconv, conv=conv,
+        tn=tn, tln=tln, tzln=tzln, tll=tll,
         xu=np.asarray(zv.T @ (xu_full @ zv)),
         xp=np.asarray(z_p.T @ (xp_full @ z_p)),
-        mean=np.asarray(z_p.T @ system.mean_vector),
         mus=np.asarray(mus, dtype=float).reshape(n, 2),
         indicators=np.asarray(indicators, dtype=float),
+        sizes=np.column_stack([np.searchsorted(kept_u, steps, "right"),
+                               np.searchsorted(kept_p, steps, "right")]),
         u_snaps=u_snaps.copy(), p_snaps=p_snaps.copy(),
-        sup_raw=sup_raw.copy())
-
-
-def _slice_terms(terms, rows=None, cols=None):
-    if terms is None:
-        return None
-    out = []
-    for tag, m in terms:
-        a = m
-        if a.ndim == 1:
-            a = a[:rows] if rows is not None else a
-        else:
-            if rows is not None:
-                a = a[:rows]
-            if cols is not None:
-                a = a[:, :cols]
-        out.append((tag, a.copy()))
-    return out
-
-
-def strip_supremizers(model: ReducedModel) -> ReducedModel:
-    """Drop the supremizer block; exact because it trails the basis."""
-    n = model.n_u
-    empty = np.zeros((model.z_u.shape[0], 0))
-    return dataclasses.replace(
-        model,
-        z_s=empty,
-        visc=_slice_terms(model.visc, n, n),
-        b=_slice_terms(model.b, None, n),
-        suq=_slice_terms(model.suq, None, n),
-        suv=_slice_terms(model.suv, n, n),
-        spv=_slice_terms(model.spv, n, None),
-        fvisc=_slice_terms(model.fvisc, n),
-        fconv=_slice_terms(model.fconv, n),
-        dconv=_slice_terms(model.dconv, n, n),
-        conv_x=None if model.conv_x is None else
-        model.conv_x[:n, :n, :n].copy(),
-        conv_y=None if model.conv_y is None else
-        model.conv_y[:n, :n, :n].copy(),
-        tn=None if model.tn is None else model.tn[:, :n, :n].copy(),
-        tln=None if model.tln is None else model.tln[:, :n].copy(),
-        tzln=None if model.tzln is None else model.tzln[:, :n].copy(),
-        xu=model.xu[:n, :n].copy(),
-        lifting_coords=model.lifting_coords[:n].copy())
-
-
-def enrich_supremizers(model: ReducedModel, system: FlowSystem) -> ReducedModel:
-    """Rebuild the enriched master from the retained snapshots."""
-    rebuilt = build_reduced_model(system, model.mus, model.u_snaps,
-                                  model.p_snaps, model.sup_raw,
-                                  model.indicators, model.seed)
-    return dataclasses.replace(rebuilt, option=model.option)
+        sup_coords=np.asarray(zv.T @ (xu_full @ sup_raw)))
 
 
 def with_option(model: ReducedModel, option: str) -> ReducedModel:
-    """Derive the online formulation: basis slice + option tag."""
+    """The model as one online option sees it, sharing the master's arrays.
+
+    Options i/iii keep the whole enriched basis; ii/iv keep the leading
+    velocity block of every velocity axis, as views.  A view can be
+    turned into any other option again.
+    """
     _check_option(option)
-    if option_uses_supremizers(option):
-        if model.n_s == 0:
-            raise ValueError(
-                f"option {option} needs supremizers but the model stores none")
-        return dataclasses.replace(model, option=option)
-    return dataclasses.replace(strip_supremizers(model), option=option)
+    master = _master(model)
+    if option_uses_supremizers(option) and master.n_s == 0:
+        raise ValueError(
+            f"option {option} needs supremizers but the model stores none")
+    # a shallow copy, cheaper than dataclasses.replace: every online
+    # query derives its view
+    view = copy.copy(master)
+    view.option = option
+    view.master = master
+    if not option_uses_supremizers(option):
+        vars(view).update(_map_axes(master, {"v": master.n_u}))
+    return view
 
 
-def truncate_model(system: FlowSystem, model: ReducedModel,
-                   n: int) -> ReducedModel:
-    """Rebuild from the first n greedy snapshots (same code path)."""
-    if not 1 <= n <= model.u_snaps.shape[1]:
+def truncate_model(model: ReducedModel, n: int) -> ReducedModel:
+    """The model of the first n greedy snapshots, in reduced coordinates.
+
+    The velocity and pressure bases of a snapshot prefix are prefixes
+    of the master's.  The first n supremizers are orthonormalized again
+    on their coordinates in the master velocity basis, where the Gram
+    matrix is the identity, and every velocity axis changes to the
+    resulting basis; no full-order operator is touched.
+    """
+    master = _master(model)
+    total = len(master.mus)
+    if not 1 <= n <= total:
         raise ValueError(f"cannot truncate to N={n}")
-    rebuilt = build_reduced_model(
-        system, model.mus[:n], model.u_snaps[:, :n], model.p_snaps[:, :n],
-        model.sup_raw[:, :n], model.indicators[:n], model.seed)
-    return with_option(rebuilt, model.option)
+    if n == total:   # the master itself, not a round-off copy of it
+        return with_option(master, model.option)
+    n_u, n_p = (int(k) for k in master.sizes[n - 1])
+    eye = np.eye(master.n_vel)
+    w_s, kept = modified_gram_schmidt(list(master.sup_coords[:, :n].T), eye,
+                                      against=eye[:, :n_u])
+    _report_drops("supremizer", n, kept)
+    w = np.concatenate([eye[:, :n_u], w_s], axis=1)
+    small = dataclasses.replace(master, n_u=n_u, **_map_axes(
+        master, {"p": n_p, "n": n}, ("v", w)))
+    return with_option(small, model.option)
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +451,18 @@ def truncate_model(system: FlowSystem, model: ReducedModel,
 
 def _linear_blocks(model: ReducedModel, mu):
     geom = model.geometry()
-    a = _ev(model.visc, geom, mu)
-    b = _ev(model.b, geom, mu)
+    a = model.visc.evaluate(geom, mu)
+    b = model.b.evaluate(geom, mu)
     bt = b.T.copy()
     btilde = b.copy()
     s = None
     if model.stab_online:
         if model.suq is not None:
-            btilde = btilde - _ev(model.suq, geom, mu)
-        s = _ev(model.spq, geom, mu)
+            btilde = btilde - model.suq.evaluate(geom, mu)
+        s = model.spq.evaluate(geom, mu)
         if model.suv is not None:
-            a = a - _ev(model.suv, geom, mu)
-            bt = bt - _ev(model.spv, geom, mu)
+            a = a - model.suv.evaluate(geom, mu)
+            bt = bt - model.spv.evaluate(geom, mu)
     return a, bt, btilde, s
 
 
@@ -437,10 +476,10 @@ def _stokes_system(model: ReducedModel, mu):
     k[nv:, :nv] = btilde
     if s is not None:
         k[nv:, nv:] = -s
-    g = _ev(model.gplain, geom, mu)
+    g = model.gplain.evaluate(geom, mu)
     if model.stab_online and model.gstab is not None:
-        g = g + _ev(model.gstab, geom, mu)
-    rhs = np.concatenate([_ev(model.fvisc, geom, mu), g])
+        g = g + model.gstab.evaluate(geom, mu)
+    rhs = np.concatenate([model.fvisc.evaluate(geom, mu), g])
     return k, rhs
 
 
@@ -454,17 +493,15 @@ def solve_reduced_stokes(model: ReducedModel, mu):
 
 def _ns_pieces(model: ReducedModel, mu):
     geom = model.geometry()
-    th1 = geom.theta("one", mu)
-    tha = geom.theta("a", mu)
     a, bt, btilde, s = _linear_blocks(model, mu)
-    a = a + _ev(model.dconv, geom, mu)
-    conv = th1 * model.conv_x + tha * model.conv_y
-    f = _ev(model.fvisc, geom, mu) + _ev(model.fconv, geom, mu)
-    g = _ev(model.gplain, geom, mu)
+    a = a + model.dconv.evaluate(geom, mu)
+    conv = model.conv.evaluate(geom, mu)
+    f = model.fvisc.evaluate(geom, mu) + model.fconv.evaluate(geom, mu)
+    g = model.gplain.evaluate(geom, mu)
     stab_conv = None
     if model.stab_online:
         if model.gstab is not None:
-            g = g + _ev(model.gstab, geom, mu)
+            g = g + model.gstab.evaluate(geom, mu)
         if model.tn is not None:
             stab_conv = (model.tn, model.tln, model.tzln, model.tll)
     return a, bt, btilde, s, conv, f, g, stab_conv
@@ -631,7 +668,7 @@ def greedy_offline(system: FlowSystem, n_max: int, train_size: int,
 
 def plain_infsup(model: ReducedModel, mu) -> float:
     """Classic reduced inf-sup constant of the divergence block."""
-    b_mu = _ev(model.b, model.geometry(), mu)
+    b_mu = model.b.evaluate(model.geometry(), mu)
     return smallest_gsv(b_mu, model.xu, model.xp)
 
 
@@ -645,12 +682,12 @@ def modified_infsup(model: ReducedModel, mu) -> float:
     this the plain inf-sup constant.
     """
     geom = model.geometry()
-    b_mu = _ev(model.b, geom, mu)
+    b_mu = model.b.evaluate(geom, mu)
     cho = scipy.linalg.cho_factor(model.xu)
     m1 = b_mu @ scipy.linalg.cho_solve(cho, b_mu.T)
     m1 = 0.5 * (m1 + m1.T)
     if model.stab_online:
-        s_mu = _ev(model.spq, geom, mu)
+        s_mu = model.spq.evaluate(geom, mu)
     else:
         s_mu = np.zeros_like(m1)
     w, vecs = scipy.linalg.eigh(m1 + s_mu, model.xp)
@@ -667,59 +704,50 @@ def modified_infsup(model: ReducedModel, mu) -> float:
 # serialization
 
 
-_RBM_FORMAT = "cavityrb-rbm-2"
+_RBM_FORMAT = "cavityrb-rbm-3"
 
-_TERM_FIELDS = ("visc", "b", "suq", "spq", "suv", "spv",
-                "fvisc", "fconv", "gplain", "gstab", "dconv")
-_ARRAY_FIELDS = ("z_u", "z_s", "z_p", "lifting", "lifting_coords",
-                 "conv_x", "conv_y", "tn", "tln", "tzln", "tll",
-                 "xu", "xp", "mean", "mus", "indicators",
-                 "u_snaps", "p_snaps", "sup_raw")
+# header fields: every ReducedModel field that is not an array
+_HEADER = tuple(f for f in dataclasses.fields(ReducedModel)
+                if f.name not in _AXES and f.name != "master")
+_PARSE = {"str": str, "float": float, "int": int,
+          "tuple": lambda text: tuple(float(x) for x in text.split())}
 
 
 def _fmt(x) -> str:
+    if isinstance(x, tuple):
+        return " ".join(_fmt(v) for v in x)
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def save_model(model: ReducedModel, path, config_echo: dict | None = None):
-    """Self-describing text serialization (17-significant-digit floats)."""
+    """Self-describing text serialization (17-significant-digit floats).
+
+    Writes the arrays of the master model and the option of ``model``,
+    so the loaded model can again take any option.
+    """
+    master = _master(model)
     arrays: list[tuple[str, np.ndarray]] = []
-    for name in _TERM_FIELDS:
-        terms = getattr(model, name)
-        if terms is None:
+    for name in _AXES:
+        value = getattr(master, name)
+        if value is None:
             continue
-        # index before tag keeps the summation order on reload
-        for k, (tag, m) in enumerate(terms):
-            arrays.append((f"{name}.{k}.{tag}", np.atleast_2d(np.asarray(m))))
-    for name in _ARRAY_FIELDS:
-        arr = getattr(model, name)
-        if arr is None:
-            continue
-        a = np.asarray(arr, dtype=float)
-        if a.ndim == 3:
-            a = a.reshape(a.shape[0], -1)
-        arrays.append((name, np.atleast_2d(a)))
+        if isinstance(value, AffineOperator):
+            # index before tag keeps the summation order on reload
+            items = [(f"{name}.{k}.{tag}", m)
+                     for k, (tag, m) in enumerate(value.terms)]
+        else:
+            items = [(name, value)]
+        for key, m in items:
+            a = np.asarray(m, dtype=float)
+            arrays.append((key, a.reshape(len(a) if a.ndim > 1 else 1, -1)))
 
     lines = [f"# reduced model ({_RBM_FORMAT})"]
     for key, value in (config_echo or {}).items():
         lines.append(f"# {key} = {value}")
-    head = [("format", _RBM_FORMAT), ("problem", model.problem),
-            ("fe_pair", model.fe_pair), ("method", model.method),
-            ("delta", model.delta), ("rho", model.rho),
-            ("option", model.option), ("n_u", model.n_u),
-            ("n_s", model.n_s), ("n_p", model.n_p),
-            ("q_a", len(model.visc)), ("q_b", len(model.b)),
-            ("q_f", len(model.fvisc)), ("q_g", len(model.gplain)),
-            ("q_c", 0 if model.conv_x is None else 2),
-            ("q_suq", 0 if model.suq is None else len(model.suq)),
-            ("q_spq", 0 if model.spq is None else len(model.spq)),
-            ("mu_bar2", model.mu_bar2),
-            ("mu1_min", model.mu1_range[0]), ("mu1_max", model.mu1_range[1]),
-            ("mu2_min", model.mu2_range[0]), ("mu2_max", model.mu2_range[1]),
-            ("seed", model.seed), ("nx", model.nx), ("ny", model.ny),
-            ("arrays", len(arrays))]
-    for key, value in head:
-        lines.append(f"{key} = {_fmt(value)}")
+    lines.append(f"format = {_RBM_FORMAT}")
+    for f in _HEADER:
+        lines.append(f"{f.name} = {_fmt(getattr(model, f.name))}")
+    lines.append(f"arrays = {len(arrays)}")
     for name, a in arrays:
         lines.append(f"{name} {a.shape[0]} {a.shape[1]}")
         if a.shape[1] > 0:
@@ -761,7 +789,8 @@ def load_model(path):
         raise ValueError("model file lacks the arrays count")
     if header.get("format") != _RBM_FORMAT:
         # earlier formats carry stabilization terms projected from other
-        # operators (cavityrb-rbm-1: reference-domain residual blocks)
+        # operators (cavityrb-rbm-1: reference-domain residual blocks) or
+        # the full-order supremizers (cavityrb-rbm-2)
         raise ValueError(f"unsupported model format "
                          f"{header.get('format')!r}; expected {_RBM_FORMAT}")
     for _ in range(n_arrays):
@@ -777,58 +806,22 @@ def load_model(path):
                 i += 1
         arrays[name] = data
 
-    def terms_of(name):
-        found = []
-        for key in arrays:
-            if key.startswith(name + "."):
-                _, idx, tag = key.split(".", 2)
-                found.append((int(idx), tag, arrays[key]))
-        if not found:
-            return None
-        found.sort()
-        out = []
-        for _, tag, m in found:
-            a = np.asarray(m)
-            if name in ("fvisc", "fconv", "gplain", "gstab") and a.shape[0] == 1:
-                a = a[0]
-            out.append((tag, a))
-        return out
-
-    nv = int(header["n_u"]) + int(header["n_s"])
-
-    def tensor_of(name, lead):
-        if name not in arrays:
-            return None
-        a = arrays[name]
-        return a.reshape(lead, nv, nv)
-
-    def vec_of(name):
-        if name not in arrays:
-            return None
-        a = arrays[name]
-        return a[0] if a.shape[0] == 1 else a
-
-    n_p = int(header["n_p"])
-    model = ReducedModel(
-        problem=header["problem"], fe_pair=header["fe_pair"],
-        method=header["method"], delta=float(header["delta"]),
-        rho=float(header["rho"]), option=header["option"],
-        mu_bar2=float(header["mu_bar2"]),
-        mu1_range=(float(header["mu1_min"]), float(header["mu1_max"])),
-        mu2_range=(float(header["mu2_min"]), float(header["mu2_max"])),
-        seed=int(header["seed"]), nx=int(header["nx"]), ny=int(header["ny"]),
-        z_u=arrays["z_u"], z_s=arrays["z_s"], z_p=arrays["z_p"],
-        lifting=vec_of("lifting"), lifting_coords=vec_of("lifting_coords"),
-        visc=terms_of("visc"), b=terms_of("b"), suq=terms_of("suq"),
-        spq=terms_of("spq"), suv=terms_of("suv"), spv=terms_of("spv"),
-        fvisc=terms_of("fvisc"), fconv=terms_of("fconv"),
-        gplain=terms_of("gplain"), gstab=terms_of("gstab"),
-        dconv=terms_of("dconv"),
-        conv_x=tensor_of("conv_x", nv), conv_y=tensor_of("conv_y", nv),
-        tn=tensor_of("tn", n_p), tln=arrays.get("tln"),
-        tzln=arrays.get("tzln"), tll=vec_of("tll"),
-        xu=arrays["xu"], xp=arrays["xp"], mean=vec_of("mean"),
-        mus=arrays["mus"], indicators=vec_of("indicators"),
-        u_snaps=arrays["u_snaps"], p_snaps=arrays["p_snaps"],
-        sup_raw=arrays["sup_raw"])
-    return model, echo
+    dims = {"v": arrays["z_v"].shape[1], "p": arrays["z_p"].shape[1],
+            "n": arrays["mus"].shape[0]}
+    values: dict = {name: None for name in _AXES}
+    terms: dict[str, list] = {}
+    for key, data in arrays.items():
+        name, _, term = key.partition(".")
+        data = data.reshape([-1 if k is None else dims[k]
+                             for k in _AXES[name]])
+        if term:
+            idx, tag = term.split(".", 1)
+            terms.setdefault(name, []).append((int(idx), tag, data))
+        else:
+            values[name] = data
+    for name, found in terms.items():
+        found.sort(key=lambda t: t[0])
+        values[name] = AffineOperator([(tag, m) for _, tag, m in found])
+    scalars = {f.name: _PARSE[f.type](header[f.name]) for f in _HEADER}
+    master = ReducedModel(**{**scalars, "option": "i"}, **values)
+    return with_option(master, scalars["option"]), echo

@@ -17,7 +17,7 @@ from cavityrb.assembly import StabilizationConfig
 from cavityrb.fespace import FeFunction, interpolate, make_space, zero_function
 from cavityrb.hifi import FeSolution, FlowSystem, ProblemConfig
 from cavityrb.mesh import build_rect_mesh
-from cavityrb.rb import greedy_offline
+from cavityrb.rb import greedy_offline, with_option
 
 SEED = 3
 
@@ -167,6 +167,16 @@ def test_sweep_is_thread_deterministic(small_rb):
     b = error_sweep(system, model, seed=SEED, test_size=4, threads=2)
     assert a.rows == b.rows
     assert a.test_points == b.test_points
+
+
+def test_sweep_and_infsup_accept_any_option_view(small_rb):
+    # a view of option ii still truncates and re-views like the master
+    system, model = small_rb
+    view = with_option(model, "ii")
+    want = error_sweep(system, model, seed=SEED, test_size=2)
+    got = error_sweep(system, view, seed=SEED, test_size=2)
+    assert got.rows == want.rows and got.test_points == want.test_points
+    assert infsup_profile(view, grid_n=2) == infsup_profile(model, grid_n=2)
 
 
 def test_sweep_excludes_training_points(small_rb):

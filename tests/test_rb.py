@@ -5,15 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cavityrb.assembly import StabilizationConfig
+from cavityrb.assembly import AffineOperator, StabilizationConfig
 from cavityrb.hifi import FlowSystem, ProblemConfig
-from cavityrb.rb import (GreedyTrace, SupremizerOperator, build_reduced_model,
-                         enrich_supremizers, fe_indicator, greedy_offline,
+from cavityrb.rb import (_AXES, OPTIONS, GreedyTrace, SupremizerOperator,
+                         build_reduced_model, fe_indicator, greedy_offline,
                          load_model, modified_infsup, plain_infsup,
                          reconstruct, save_model, solve_reduced,
                          solve_reduced_ns, solve_reduced_stokes,
-                         strip_supremizers, training_grid,
-                         truncate_model, with_option)
+                         training_grid, truncate_model, with_option)
 from cavityrb.rb import test_parameters as draw_test_parameters
 from cavityrb.util import SingularSystemError
 
@@ -87,7 +86,7 @@ def test_greedy_indicator_covers_options_i_and_ii(stokes_rb):
     system, model, trace = stokes_rb
     cfg = system.config
     train = training_grid(cfg.mu1_range, cfg.mu2_range, 16, SEED)
-    first = truncate_model(system, model, 1)
+    first = truncate_model(model, 1)
     views = [with_option(first, opt) for opt in ("i", "ii")]
     worst = [max(fe_indicator(system, v, mu) for v in views) for mu in train]
     k = int(np.argmax(worst))
@@ -171,18 +170,35 @@ def test_single_snapshot_model_reproduces_center(stokes_rb):
     assert fe_indicator(system, model, (0.5, 2.0)) <= 1e-8
 
 
+def _prefix_rebuild(system, model, n):
+    """Reference: build_reduced_model on the first n snapshots, with the
+    supremizers solved again at full order."""
+    sup = SupremizerOperator(system)
+    s = np.column_stack([sup.solve(model.p_snaps[:, k], tuple(model.mus[k]))
+                         for k in range(n)])
+    return build_reduced_model(system, model.mus[:n], model.u_snaps[:, :n],
+                               model.p_snaps[:, :n], s,
+                               model.indicators[:n], model.seed)
+
+
+def _model_with_repeat(system):
+    # the second snapshot repeats the first, so it is dropped
+    mus = [(0.5, 2.0), (0.5, 2.0), (0.3, 1.2), (0.7, 2.8)]
+    sols = [system.solve(mu) for mu in mus]
+    u = np.column_stack([sol.velocity.values for sol in sols])
+    p = np.column_stack([sol.pressure.values for sol in sols])
+    sup = SupremizerOperator(system)
+    s = np.column_stack([sup.solve(p[:, k], mu) for k, mu in enumerate(mus)])
+    return build_reduced_model(system, np.array(mus), u, p, s,
+                               np.ones(len(mus)), seed=1)
+
+
 def test_near_dependent_snapshots_are_dropped(stokes_rb, capsys):
     system, _, _ = stokes_rb
-    sol = system.solve((0.5, 2.0))
-    sup = SupremizerOperator(system)
-    u = np.column_stack([sol.velocity.values, sol.velocity.values])
-    p = np.column_stack([sol.pressure.values, sol.pressure.values])
-    s = np.column_stack([sup.solve(p[:, 0], (0.5, 2.0)),
-                         sup.solve(p[:, 1], (0.5, 2.0))])
-    mus = np.array([[0.5, 2.0], [0.5, 2.0]])
-    model = build_reduced_model(system, mus, u, p, s, np.ones(2), seed=1)
-    assert model.n_u == 1 and model.n_p == 1
-    assert "kept 1 of 2" in capsys.readouterr().err
+    model = _model_with_repeat(system)
+    assert model.n_u == 3 and model.n_p == 3
+    assert "kept 3 of 4" in capsys.readouterr().err
+    assert model.sizes.tolist() == [[1, 1], [1, 1], [2, 2], [3, 3]]
 
 
 # ---------------------------------------------------------------------------
@@ -202,49 +218,99 @@ def test_option_slicing_semantics(stokes_rb):
     assert m4.n_s == 0 and not m4.stab_online
     with pytest.raises(ValueError):
         with_option(model, "v")
-    stripped = strip_supremizers(model)
+    # a model that owns no supremizers cannot serve options i/iii
+    plain = dataclasses.replace(m2)
     with pytest.raises(ValueError):
-        with_option(stripped, "iii")
+        with_option(plain, "iii")
 
 
 def test_stripped_operators_are_leading_blocks(stokes_rb):
     _, model, _ = stokes_rb
     m2 = with_option(model, "ii")
     n = model.n_u
-    for (tag, red), (tag2, full) in zip(m2.visc, model.visc):
+    for (tag, red), (tag2, full) in zip(m2.visc.terms, model.visc.terms):
         assert tag == tag2 and np.array_equal(red, full[:n, :n])
-    for (_, red), (_, full) in zip(m2.b, model.b):
+        assert np.shares_memory(red, full)
+    for (_, red), (_, full) in zip(m2.b.terms, model.b.terms):
         assert np.array_equal(red, full[:, :n])
+        assert np.shares_memory(red, full)
     assert np.array_equal(m2.xu, model.xu[:n, :n])
-    assert np.array_equal(m2.lifting_coords, model.lifting_coords[:n])
+    assert np.shares_memory(m2.xu, model.xu)
+    assert np.shares_memory(m2.z_velocity(), model.z_velocity())
+    assert m2.spq is model.spq and m2.z_p is model.z_p
 
 
-def test_strip_then_enrich_round_trips(stokes_rb):
-    system, model, _ = stokes_rb
-    again = enrich_supremizers(with_option(model, "ii"), system)
-    assert again.option == "ii"
-    assert np.array_equal(again.z_u, model.z_u)
-    assert np.array_equal(again.z_s, model.z_s)
-    assert np.array_equal(again.z_p, model.z_p)
-    for (_, a), (_, b) in zip(again.visc, model.visc):
-        assert np.array_equal(a, b)
-    for (_, a), (_, b) in zip(again.suq, model.suq):
-        assert np.array_equal(a, b)
+def _same_arrays(a, b):
+    for name in _AXES:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if isinstance(x, AffineOperator):
+            assert [t for t, _ in x.terms] == [t for t, _ in y.terms], name
+            assert all(np.array_equal(p, q) for (_, p), (_, q)
+                       in zip(x.terms, y.terms)), name
+        elif x is not None:
+            assert np.array_equal(x, y), name
+
+
+def test_views_switch_to_any_option_and_back(stokes_rb):
+    _, model, _ = stokes_rb
+    for first in OPTIONS:
+        view = with_option(model, first)
+        for opt in OPTIONS:
+            again = with_option(view, opt)
+            assert again.option == opt
+            _same_arrays(again, with_option(model, opt))
+        _same_arrays(with_option(with_option(view, "ii"), first), view)
 
 
 def test_truncate_is_prefix_consistent(stokes_rb):
-    system, model, _ = stokes_rb
-    same = truncate_model(system, model, model.u_snaps.shape[1])
-    for (_, a), (_, b) in zip(same.visc, model.visc):
-        assert np.array_equal(a, b)
-    small = truncate_model(system, model, 2)
+    _, model, _ = stokes_rb
+    same = truncate_model(model, model.u_snaps.shape[1])
+    _same_arrays(same, model)
+    small = truncate_model(model, 2)
     assert small.n_u == 2
     assert np.array_equal(small.z_u, model.z_u[:, :2])
     assert np.array_equal(small.mus, model.mus[:2])
+    assert truncate_model(with_option(model, "ii"), 2).option == "ii"
     with pytest.raises(ValueError):
-        truncate_model(system, model, 0)
+        truncate_model(model, 0)
     with pytest.raises(ValueError):
-        truncate_model(system, model, 99)
+        truncate_model(model, 99)
+
+
+def _assert_close(x, ref, name, tol=1e-10):
+    x, ref = np.asarray(x), np.asarray(ref)
+    assert x.shape == ref.shape, name
+    assert np.abs(x - ref).max() <= tol * max(np.abs(ref).max(), 1.0), name
+
+
+@pytest.mark.parametrize("case", ["stokes", "navier_stokes", "repeat"])
+def test_truncation_matches_prefix_rebuild(stokes_rb, ns_rb, case):
+    # truncation works in reduced coordinates only; the reference
+    # rebuilds from the prefix snapshots at full order
+    system, model, _ = ns_rb if case == "navier_stokes" else stokes_rb
+    if case == "repeat":
+        model = _model_with_repeat(system)
+    for n in range(1, len(model.mus)):
+        small = truncate_model(model, n)
+        ref = _prefix_rebuild(system, model, n)
+        assert (small.n_u, small.n_s, small.n_p) == \
+            (ref.n_u, ref.n_s, ref.n_p)
+        for name in _AXES:
+            x, y = getattr(small, name), getattr(ref, name)
+            assert (x is None) == (y is None), name
+            if isinstance(x, AffineOperator):
+                for (tag, a), (tag2, b) in zip(x.terms, y.terms):
+                    assert tag == tag2
+                    _assert_close(a, b, name)
+            elif x is not None:
+                _assert_close(x, y, name)
+        mu = tuple(model.mus[-1])
+        for opt in ("i", "ii"):
+            got = solve_reduced(with_option(small, opt), mu)
+            want = solve_reduced(with_option(ref, opt), mu)
+            _assert_close(got[0], want[0], f"velocity {opt}")
+            _assert_close(got[1], want[1], f"pressure {opt}")
 
 
 def test_offline_only_option_breaks_reproduction(stokes_rb):
@@ -382,16 +448,17 @@ def test_save_load_round_trip(tmp_path, ns_rb):
     assert back.mu1_range == model.mu1_range
     assert back.seed == model.seed and (back.nx, back.ny) == (model.nx,
                                                               model.ny)
-    for name in ("z_u", "z_s", "z_p", "xu", "xp", "mus", "u_snaps",
-                 "p_snaps", "sup_raw", "conv_x", "conv_y", "tn"):
-        a, b = getattr(model, name), getattr(back, name)
-        assert np.array_equal(np.asarray(a), np.asarray(b)), name
-    for name in ("visc", "b", "suq", "spq", "fvisc", "gplain", "gstab",
-                 "dconv"):
-        for (tag_a, a), (tag_b, b) in zip(getattr(model, name),
-                                          getattr(back, name)):
-            assert tag_a == tag_b
-            assert np.array_equal(np.asarray(a), np.asarray(b)), name
+    assert back.n_u == model.n_u
+    _same_arrays(back, model)
+    ii = with_option(model, "ii")
+    save_model(ii, path)
+    back, _ = load_model(path)
+    assert back.option == "ii"
+    _same_arrays(back, ii)
+    _same_arrays(with_option(back, "i"), model)
+    text = path.read_text()
+    for gone in ("sup_raw", "lifting_coords", "mean"):
+        assert f"\n{gone} " not in text
 
 
 def test_loaded_model_solves_identically(tmp_path, stokes_rb):
@@ -405,15 +472,17 @@ def test_loaded_model_solves_identically(tmp_path, stokes_rb):
     assert np.array_equal(u0, u1) and np.array_equal(p0, p1)
 
 
-@pytest.mark.parametrize("header", ["format = cavityrb-rbm-1", None])
+@pytest.mark.parametrize("header", ["format = cavityrb-rbm-1",
+                                    "format = cavityrb-rbm-2", None])
 def test_load_model_refuses_other_formats(tmp_path, stokes_rb, header):
     # earlier files hold stabilization terms projected from the
-    # reference-domain blocks; they must not load as current models
+    # reference-domain blocks (rbm-1) or the full-order supremizers
+    # (rbm-2); they must not load as current models
     _, model, _ = stokes_rb
     path = tmp_path / "model.rbm"
     save_model(model, path)
     lines = path.read_text().splitlines()
-    idx = lines.index("format = cavityrb-rbm-2")
+    idx = lines.index("format = cavityrb-rbm-3")
     if header is None:
         del lines[idx]
     else:
