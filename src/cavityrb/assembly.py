@@ -399,12 +399,9 @@ class SupgAssembler:
         trows = np.broadcast_to(pd[:, :, None, None], (n_t, npl, nv, 2))
         tcols = (2 * cd)[:, None, :, None] + comp[None, None, None, :]
         tcols = np.broadcast_to(tcols, (n_t, npl, nv, 2))
-        self._t_pat = CsrPattern(trows.ravel(), tcols.ravel(), shape)
-
-        jrows = np.broadcast_to(pd[:, :, None, None], (n_t, npl, nv, 2))
-        jcols = (2 * cd)[:, None, :, None] + comp[None, None, None, :]
-        jcols = np.broadcast_to(jcols, (n_t, npl, nv, 2))
-        self._j_pat = CsrPattern(jrows.ravel(), jcols.ravel(), shape)
+        # transport and Jacobian share it: both local blocks are laid out
+        # (cell, pressure dof, velocity node, component)
+        self._pat = CsrPattern(trows.ravel(), tcols.ravel(), shape)
 
     def _nodal(self, w: np.ndarray) -> np.ndarray:
         cd = self.vel.cell_dofs
@@ -414,13 +411,13 @@ class SupgAssembler:
         wn = self._nodal(w)
         loc = (np.einsum("tpnrm,tp->trnm", self.tables[0], wn[..., 0])
                + np.einsum("tpnrm,tp->trnm", self.tables[1], wn[..., 1]))
-        return self._t_pat.assemble(loc.ravel())
+        return self._pat.assemble(loc.ravel())
 
     def jacobian(self, w: np.ndarray) -> scipy.sparse.csr_matrix:
         wn = self._nodal(w)
         loc = np.stack([np.einsum("tpnrm,tnm->trp", self.tables[e], wn)
                         for e in (0, 1)], axis=-1)
-        return self._j_pat.assemble(loc.ravel())
+        return self._pat.assemble(loc.ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,12 @@ class ProblemConfig:
 
 @dataclass
 class FeSolution:
-    """Velocity (homogeneous part), pressure, and the lifting field."""
+    """Velocity (homogeneous part), pressure, and the lifting field.
+
+    ``diagnostics["rcond"]`` is the estimated reciprocal condition
+    number of the saddle matrix (Stokes) or the smallest over the Newton
+    Jacobians factored (None when Newton took no step).
+    """
 
     velocity: FeFunction
     pressure: FeFunction
@@ -300,13 +305,14 @@ class FlowSystem:
         fvec = self.fbar_linear.evaluate(g, mu)
         gvec = self.gbar.evaluate(g, mu)
         rhs = np.concatenate([fvec[self.free], gvec, [0.0]])
-        x = SparseLU(k, context=f"stokes solve at mu={tuple(mu)}").solve(rhs)
+        lu = SparseLU(k, context=f"stokes solve at mu={tuple(mu)}")
+        x = lu.solve(rhs)
         u_full, p, lam = self._split(x)
         res = float(np.linalg.norm(k @ x - rhs))
         scale = float(np.linalg.norm(rhs))
         diag = {"type": "stokes", "iterations": 1, "lambda": lam,
                 "residual": res / scale if scale > 0 else res,
-                "n_dof": k.shape[0]}
+                "n_dof": k.shape[0], "rcond": lu.rcond}
         return self._pack_solution(mu, u_full, p, diag)
 
     def solve_navier_stokes(self, mu, initial_guess: FeSolution | None = None,
@@ -323,6 +329,7 @@ class FlowSystem:
         lam = 0.0
         ref = self.residual_reference(mu)
         history = []
+        rconds = []
         iterations = 0
         while True:
             r = self.residual(mu, u_full, p, lam)
@@ -343,9 +350,11 @@ class FlowSystem:
                 b_extra = self.stab.supg.transport(u_t) \
                     + self.stab.supg.jacobian(u_t)
             k = self._saddle_matrix(mu, a_extra=a_extra, b_extra=b_extra)
-            delta = SparseLU(
-                k, context=f"newton step {iterations} at mu={tuple(mu)}"
-            ).solve(-r)
+            lu = SparseLU(
+                k, context=f"newton step {iterations} at mu={tuple(mu)}")
+            rconds.append(lu.rcond)
+            delta = lu.solve(-r)
+            del lu   # no factor stays alive while the next one is built
             du, dp, dl = self._split(delta)
             u_full += du
             p += dp
@@ -353,7 +362,8 @@ class FlowSystem:
             iterations += 1
         diag = {"type": "newton", "iterations": iterations,
                 "residuals": history, "lambda": lam,
-                "residual": history[-1] / ref if ref > 0 else history[-1]}
+                "residual": history[-1] / ref if ref > 0 else history[-1],
+                "rcond": min(rconds, default=None)}
         return self._pack_solution(mu, u_full, p, diag)
 
     def solve_navier_stokes_continued(self, mu, steps: int = 4) -> FeSolution:

@@ -595,6 +595,24 @@ def fe_indicator(system: FlowSystem, model: ReducedModel, mu) -> float:
     return float(np.linalg.norm(r)) / system.residual_reference(mu)
 
 
+def _snapshot(system: FlowSystem, model: ReducedModel | None, mu) -> FeSolution:
+    """The greedy's FE snapshot at mu.
+
+    Navier-Stokes Newton starts from the current model's reconstructed
+    solution at mu, which lies close to the truth at the point the
+    indicator picked; where the reduced or the warm Newton solve fails,
+    the cold continued solve takes over.  Stokes needs no guess.
+    """
+    if model is None or system.config.problem != "navier_stokes":
+        return system.solve(mu)
+    try:
+        u, p, _ = solve_reduced(model, mu)
+        return system.solve(
+            mu, initial_guess=reconstruct(model, system, u, p, mu))
+    except (SingularSystemError, NonConvergenceError):
+        return system.solve(mu)
+
+
 def greedy_offline(system: FlowSystem, n_max: int, train_size: int,
                    seed: int, threads: int = 1):
     """Greedy snapshot selection; returns (master model, trace).
@@ -605,7 +623,7 @@ def greedy_offline(system: FlowSystem, n_max: int, train_size: int,
     option, so with stabilization the indicator is the worse of options
     i and ii (the two that keep it online); without, option i alone.
     The FE snapshot solve always uses the configured (stabilized)
-    formulation.
+    formulation; for Navier-Stokes it is warm-started (``_snapshot``).
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -626,7 +644,7 @@ def greedy_offline(system: FlowSystem, n_max: int, train_size: int,
     model = None
     certified = ("i", "ii") if system.stab is not None else ("i",)
     for n in range(1, n_max + 1):
-        snap = system.solve(next_mu)
+        snap = _snapshot(system, model, next_mu)
         u = snap.velocity.values
         p = snap.pressure.values
         u_snaps = np.column_stack([u_snaps, u])
@@ -709,6 +727,9 @@ _RBM_FORMAT = "cavityrb-rbm-3"
 # header fields: every ReducedModel field that is not an array
 _HEADER = tuple(f for f in dataclasses.fields(ReducedModel)
                 if f.name not in _AXES and f.name != "master")
+# arrays every model has; the others are None for some configurations
+_REQUIRED = tuple(f.name for f in dataclasses.fields(ReducedModel)
+                  if f.name in _AXES and "None" not in f.type)
 _PARSE = {"str": str, "float": float, "int": int,
           "tuple": lambda text: tuple(float(x) for x in text.split())}
 
@@ -751,8 +772,9 @@ def save_model(model: ReducedModel, path, config_echo: dict | None = None):
     for name, a in arrays:
         lines.append(f"{name} {a.shape[0]} {a.shape[1]}")
         if a.shape[1] > 0:
-            for row in a:
-                lines.append(" ".join(f"{x:.17g}" for x in row))
+            # one format per row: the bytes of f"{x:.17g}" per float
+            fmt = " ".join(["%.17g"] * a.shape[1])
+            lines.extend(fmt % tuple(row) for row in a.tolist())
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -796,15 +818,26 @@ def load_model(path):
     for _ in range(n_arrays):
         while i < len(lines) and not lines[i].strip():
             i += 1
+        if i >= len(lines):
+            raise ValueError("model file ends before its last array")
         name, rows, cols = lines[i].split()
         rows, cols = int(rows), int(cols)
         i += 1
+        if name.partition(".")[0] not in _AXES:
+            raise ValueError(f"unknown model array {name!r}")
+        if cols > 0 and i + rows > len(lines):
+            raise ValueError(f"model file ends inside array {name!r}")
         data = np.zeros((rows, cols))
         if cols > 0:
             for r in range(rows):
                 data[r] = np.array(lines[i].split(), dtype=float)
                 i += 1
         arrays[name] = data
+    present = {key.partition(".")[0] for key in arrays}
+    missing = [f.name for f in _HEADER if f.name not in header] \
+        + [name for name in _REQUIRED if name not in present]
+    if missing:
+        raise ValueError(f"model file lacks {', '.join(missing)}")
 
     dims = {"v": arrays["z_v"].shape[1], "p": arrays["z_p"].shape[1],
             "n": arrays["mus"].shape[0]}

@@ -137,6 +137,19 @@ def test_unstabilized_equal_order_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta, code", [("1e-14", 3), ("1e-8", 0)])
+def test_near_singular_residual_based_exits_3(tmp_path, capsys, delta, code):
+    # rcond is 2.4e-16 at delta = 1e-14 and 2.4e-10 at 1e-8 on this mesh
+    text = ("fe_pair = P2P2\nstabilization.method = ResidualBased\n"
+            f"stabilization.delta = {delta}\nmesh.nx = 8\nmesh.ny = 4\n"
+            "seed = 1\n")
+    path = write_config(tmp_path, text)
+    assert main(["fe-solve", "--config", path, "--mu1", "0.5",
+                 "--mu2", "2.0", "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert ("rcond" in err) == (code == 3)
+
+
 def test_missing_online_point_exits_2(tmp_path, capsys):
     text = "mesh.nx = 8\nmesh.ny = 4\nseed = 1\n" \
            "stabilization.method = BrezziPitkaranta\n" \
@@ -161,6 +174,17 @@ def test_old_format_model_exits_2(tmp_path, capsys):
     code = main(["online", "--config", path, "--model", str(model)])
     assert code == 2
     assert "cavityrb-rbm-1" in capsys.readouterr().err
+
+
+def test_incomplete_model_exits_2(tmp_path, capsys):
+    # the current format line, but no header keys and no arrays
+    path = write_config(tmp_path)
+    model = tmp_path / "model.rbm"
+    model.write_text("format = cavityrb-rbm-3\narrays = 0\n")
+    code = main(["online", "--config", path, "--model", str(model)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "lacks" in err and "z_v" in err
 
 
 # ---------------------------------------------------------------------------

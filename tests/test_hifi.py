@@ -8,6 +8,7 @@ from cavityrb.assembly import StabilizationConfig
 from cavityrb.fespace import eval as fe_eval
 from cavityrb.fespace import interpolate, make_space, zero_function
 from cavityrb.hifi import NEWTON_TOL, FlowSystem, ProblemConfig
+from cavityrb.linalg import RCOND_TOL
 from cavityrb.mesh import build_rect_mesh
 from cavityrb.util import SingularSystemError
 
@@ -82,6 +83,7 @@ def test_stokes_diagnostics(stokes_bp):
     assert sol.diagnostics["type"] == "stokes"
     assert sol.diagnostics["iterations"] == 1
     assert sol.diagnostics["residual"] < 1e-12
+    assert RCOND_TOL < sol.diagnostics["rcond"] < 1.0
     assert sol.mu == (0.6, 2.0)
 
 
@@ -246,6 +248,7 @@ def test_newton_converges_quadratically(ns_system):
     diag = sol.diagnostics
     assert diag["type"] == "newton"
     assert diag["iterations"] <= 10
+    assert RCOND_TOL < diag["rcond"] < 1.0
     ref = ns_system.residual_reference(mu)
     hist = np.asarray(diag["residuals"]) / ref
     assert hist[-1] <= NEWTON_TOL
@@ -304,6 +307,7 @@ def test_zero_lid_gives_zero_flow():
     assert np.abs(sol.velocity.values).max() == 0.0
     assert np.abs(sol.pressure.values).max() == 0.0
     assert sol.diagnostics["iterations"] == 0
+    assert sol.diagnostics["rcond"] is None
 
 
 def test_continuation_matches_direct_solve():

@@ -28,6 +28,59 @@ def test_lu_singular_reports_context():
     assert "unit test" in str(err.value)
 
 
+def _saddle(eps: float) -> scipy.sparse.csc_matrix:
+    """[[A, B^T], [B, -eps I]] whose B^T has the kernel (1, -1).
+
+    A is the 1-D Laplacian; B repeats one row, so only the -eps block
+    holds the pressure difference: the condition number grows as 1/eps.
+    """
+    n = 12
+    a = scipy.sparse.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                           [-1, 0, 1])
+    b = scipy.sparse.csr_matrix(np.vstack([np.eye(n)[3], np.eye(n)[3]]))
+    return scipy.sparse.bmat([[a, b.T], [b, -eps * scipy.sparse.identity(2)]],
+                             format="csc")
+
+
+def _exact_rcond(m) -> float:
+    dense = m.toarray()
+    return 1.0 / (np.linalg.norm(dense, 1)
+                  * np.linalg.norm(np.linalg.inv(dense), 1))
+
+
+def test_lu_near_singular_saddle_raises_with_rcond():
+    m = _saddle(1e-16)
+    assert _exact_rcond(m) < 1e-15
+    with pytest.raises(SingularSystemError, match=r"rcond \d\.\d+e-1[67]") \
+            as err:
+        SparseLU(m, context="near-singular saddle")
+    assert "near-singular saddle" in str(err.value)
+
+
+def test_lu_rcond_estimate_brackets_the_exact_value():
+    # the 1-norm estimate of ||A^-1|| is a lower bound, so rcond is an
+    # upper bound; without the alternating-sign vector the saddles read
+    # 0.016 at every eps
+    rng = np.random.default_rng(4)
+    mats = [_saddle(eps) for eps in (1e-2, 1e-6, 1e-10, 1e-14)]
+    mats += [scipy.sparse.csc_matrix(rng.standard_normal((30, 30))
+                                     + np.diag(rng.uniform(0.0, 3.0, 30)))
+             for _ in range(5)]
+    for m in mats:
+        exact = _exact_rcond(m)
+        lu = SparseLU(m)
+        assert exact * (1 - 1e-12) <= lu.rcond <= 10.0 * exact
+
+
+def test_lu_rcond_leaves_the_global_rng_alone():
+    # a multi-column estimate would draw its random columns from numpy's
+    # global generator and make runs depend on earlier calls
+    state = np.random.get_state()
+    SparseLU(_saddle(1e-6))
+    after = np.random.get_state()
+    assert all(np.array_equal(x, y) for x, y in zip(state, after))
+
+
 def test_lu_random_residuals():
     rng = np.random.default_rng(3)
     for trial in range(10):

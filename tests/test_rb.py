@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cavityrb.assembly import AffineOperator, StabilizationConfig
-from cavityrb.hifi import FlowSystem, ProblemConfig
+from cavityrb.hifi import FeSolution, FlowSystem, ProblemConfig
 from cavityrb.rb import (_AXES, OPTIONS, GreedyTrace, SupremizerOperator,
                          build_reduced_model, fe_indicator, greedy_offline,
                          load_model, modified_infsup, plain_infsup,
@@ -14,7 +14,7 @@ from cavityrb.rb import (_AXES, OPTIONS, GreedyTrace, SupremizerOperator,
                          solve_reduced_ns, solve_reduced_stokes,
                          training_grid, truncate_model, with_option)
 from cavityrb.rb import test_parameters as draw_test_parameters
-from cavityrb.util import SingularSystemError
+from cavityrb.util import NonConvergenceError, SingularSystemError
 
 SEED = 7
 
@@ -490,3 +490,114 @@ def test_load_model_refuses_other_formats(tmp_path, stokes_rb, header):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="format"):
         load_model(path)
+
+
+@pytest.mark.parametrize("damage", ["bare", "no_header_key", "no_array",
+                                    "unknown_array", "truncated"])
+def test_load_model_refuses_incomplete_files(tmp_path, stokes_rb, damage):
+    _, model, _ = stokes_rb
+    path = tmp_path / "model.rbm"
+    save_model(model, path)
+    lines = path.read_text().splitlines()
+    if damage == "bare":
+        lines = ["format = cavityrb-rbm-3", "arrays = 0"]
+    elif damage == "no_header_key":
+        lines = [ln for ln in lines if not ln.startswith("n_u = ")]
+    elif damage == "no_array":
+        start = next(i for i, ln in enumerate(lines) if ln.startswith("xp "))
+        rows = int(lines[start].split()[1])
+        del lines[start:start + 1 + rows]
+        count = lines.index(next(ln for ln in lines
+                                 if ln.startswith("arrays = ")))
+        lines[count] = f"arrays = {int(lines[count].split()[-1]) - 1}"
+    elif damage == "unknown_array":
+        lines = [("sup_raw" + ln[2:] if ln.startswith("xp ") else ln)
+                 for ln in lines]
+    else:
+        lines = lines[:len(lines) // 2]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        load_model(path)
+
+
+def test_save_model_writes_each_float_as_17_digits(tmp_path, stokes_rb):
+    # row-at-a-time formatting must give the bytes of f"{x:.17g}" per
+    # float, signed zeros and subnormals included
+    _, model, _ = stokes_rb
+    special = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
+               1.7976931348623157e308, 1.0 / 3.0, -123456.789]
+    xp = model.xp.copy()
+    xp.flat[:len(special)] = special
+    path = tmp_path / "model.rbm"
+    save_model(dataclasses.replace(model, xp=xp), path)
+    lines = path.read_text().splitlines()
+    start = lines.index(f"xp {xp.shape[0]} {xp.shape[1]}")
+    want = [" ".join(f"{x:.17g}" for x in row) for row in xp]
+    assert lines[start + 1:start + 1 + len(want)] == want
+    assert lines[start + 1].startswith("0 -0 4.9406564584124654e-324 ")
+    # and every array line: .17g round-trips, so re-formatting the parsed
+    # floats must give the line back
+    i = lines.index(next(ln for ln in lines if ln.startswith("arrays = ")))
+    i += 1
+    count = 0
+    while i < len(lines):
+        _, rows, cols = lines[i].split()
+        rows = int(rows) if int(cols) > 0 else 0
+        for line in lines[i + 1:i + 1 + rows]:
+            assert line == " ".join(f"{float(t):.17g}" for t in line.split())
+        i += 1 + rows
+        count += rows
+    assert count > 100
+
+
+# ---------------------------------------------------------------------------
+# warm-started Navier-Stokes snapshots
+
+
+def _record_solves(system, monkeypatch):
+    calls = []
+    solve = system.solve
+
+    def record(mu, **kwargs):
+        sol = solve(mu, **kwargs)
+        calls.append((tuple(mu), kwargs, sol))
+        return sol
+    monkeypatch.setattr(system, "solve", record)
+    return calls
+
+
+def test_greedy_warm_starts_navier_stokes_snapshots(ns_rb, monkeypatch):
+    system, model, _ = ns_rb
+    calls = _record_solves(system, monkeypatch)
+    greedy_offline(system, n_max=3, train_size=9, seed=SEED)
+    assert [bool(kw) for _, kw, _ in calls] == [False, True, True]
+    for k, (mu, kwargs, warm) in enumerate(calls[1:], start=1):
+        assert isinstance(kwargs["initial_guess"], FeSolution)
+        cold = system.solve_navier_stokes_continued(mu)
+        for field in ("velocity", "pressure"):
+            w = getattr(warm, field).values
+            c = getattr(cold, field).values
+            assert np.linalg.norm(w - c) <= 1e-9 * np.linalg.norm(c)
+        assert warm.diagnostics["iterations"] \
+            < cold.diagnostics["iterations"]
+        assert np.array_equal(model.u_snaps[:, k], warm.velocity.values)
+
+
+def test_greedy_falls_back_to_cold_continued_solve(ns_rb, monkeypatch):
+    system, _, _ = ns_rb
+    newton = system.solve_navier_stokes
+    refused = []
+
+    def no_warm_convergence(mu, initial_guess=None, **kwargs):
+        if initial_guess is not None:
+            refused.append(tuple(mu))
+            raise NonConvergenceError("forced", [])
+        return newton(mu, **kwargs)
+    monkeypatch.setattr(system, "solve_navier_stokes", no_warm_convergence)
+    model, _ = greedy_offline(system, n_max=3, train_size=9, seed=SEED)
+    assert refused == [tuple(m) for m in model.mus[1:]]
+    monkeypatch.undo()
+    for k, mu in enumerate(map(tuple, model.mus)):
+        cold = system.solve_navier_stokes_continued(mu)
+        assert np.array_equal(model.u_snaps[:, k], cold.velocity.values)
+        assert np.array_equal(model.p_snaps[:, k], cold.pressure.values)
