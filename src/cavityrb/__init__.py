@@ -13,8 +13,7 @@ from .hifi import FeSolution, FlowSystem, ProblemConfig
 from .rb import (GreedyTrace, ReducedModel, SupremizerOperator,
                  build_reduced_model, greedy_offline, load_model,
                  modified_infsup, plain_infsup, reconstruct, save_model,
-                 solve_reduced, solve_reduced_ns, solve_reduced_stokes,
-                 truncate_model, with_option)
+                 solve_reduced, truncate_model, with_option)
 from .analysis import (ConvergenceResult, ErrorReport, convergence_study,
                        error_sweep, infsup_profile, manufactured_errors,
                        relative_errors)
@@ -28,8 +27,7 @@ __all__ = [
     "ProblemConfig", "GreedyTrace", "ReducedModel", "SupremizerOperator",
     "build_reduced_model", "greedy_offline", "load_model",
     "modified_infsup", "plain_infsup", "reconstruct", "save_model",
-    "solve_reduced", "solve_reduced_ns", "solve_reduced_stokes",
-    "truncate_model", "with_option", "ConvergenceResult", "ErrorReport",
+    "solve_reduced", "truncate_model", "with_option", "ConvergenceResult", "ErrorReport",
     "convergence_study", "error_sweep", "infsup_profile",
     "manufactured_errors", "relative_errors", "ConfigError",
     "NonConvergenceError",

@@ -64,13 +64,6 @@ class GeometryMap:
             raise ValueError("mu1 must be positive")
         return mu1 if self.viscosity == "direct" else 1.0 / mu1
 
-    def kappa(self, mu) -> np.ndarray:
-        a = self.a(mu[1])
-        return self.nu(mu) * np.diag([1.0 / a, a])
-
-    def chi(self, mu) -> np.ndarray:
-        return np.diag([1.0, self.a(mu[1])])
-
     def theta(self, tag: str, mu) -> float:
         a = self.a(mu[1])
         if tag == "one":
@@ -224,7 +217,7 @@ def assemble_gram(space: FunctionSpace, kind: str) -> scipy.sparse.csr_matrix:
     """Parameter-independent inner product matrix.
 
     kind "l2": mass; "h1semi": stiffness (positive definite on the
-    homogeneous-Dirichlet subspace); "h1": their sum.
+    homogeneous-Dirichlet subspace).
     """
     k = _poly_degree(space.family)
     vals, grads, wdet = _quad_data(space, 2 * k)
@@ -234,9 +227,6 @@ def assemble_gram(space: FunctionSpace, kind: str) -> scipy.sparse.csr_matrix:
         out = pat.assemble(np.einsum("tq,qi,qj->tij", wdet, vals, vals))
     elif kind == "h1semi":
         out = pat.assemble(np.einsum("tq,tqid,tqjd->tij", wdet, grads, grads))
-    elif kind == "h1":
-        out = pat.assemble(np.einsum("tq,qi,qj->tij", wdet, vals, vals)) \
-            + pat.assemble(np.einsum("tq,tqid,tqjd->tij", wdet, grads, grads))
     else:
         raise ValueError(f"unknown gram kind {kind!r}")
     return vector_expand(out) if space.components == 2 else out

@@ -164,15 +164,11 @@ def resolve_config(args) -> RunConfig:
         raise ConfigError("a seed is required (config 'seed' or --seed)")
     if rc.threads < 1:
         raise ConfigError("threads must be a positive integer")
-    ns = rc.problem == "navier_stokes"
-    if rc.mu1_min is None:
-        rc.mu1_min = 100.0 if ns else 0.25
-    if rc.mu1_max is None:
-        rc.mu1_max = 200.0 if ns else 0.75
-    if rc.mu2_min is None:
-        rc.mu2_min = 1.5 if ns else 1.0
-    if rc.mu2_max is None:
-        rc.mu2_max = 3.0
+    box = ProblemConfig(problem=rc.problem)   # the per-problem defaults
+    for name, value in zip(("mu1_min", "mu1_max", "mu2_min", "mu2_max"),
+                           box.mu1_range + box.mu2_range):
+        if getattr(rc, name) is None:
+            setattr(rc, name, value)
     for name, lo, hi in (("mu1", rc.mu1_min, rc.mu1_max),
                          ("mu2", rc.mu2_min, rc.mu2_max)):
         if not lo < hi:

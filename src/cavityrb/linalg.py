@@ -1,8 +1,8 @@
 """Sparse and dense linear algebra helpers.
 
 Wraps a handful of SciPy routines behind the interfaces the solvers
-need: deterministic CSR assembly into a reusable sparsity pattern, an
-LU factorization that reports singularity instead of silently
+need: deterministic CSR assembly into a reusable sparsity pattern,
+sparse and dense LU solves that report singularity instead of silently
 returning garbage, Gram-orthonormalization, and a generalized
 smallest-singular-value solve.
 
@@ -23,6 +23,10 @@ not from the spread of U's diagonal, which depends on the pivoting.  The
 well-posed systems of this package have rcond of order 1e-5 on the
 32x16 mesh (P2P2 ResidualBased, delta = 0.05); a system at or below
 RCOND_TOL leaves no correct digit to a solve and is refused.
+
+Dense (reduced) systems go through LAPACK getrf, gecon and getrs in
+``dense_lu_solve``: gecon computes the same 1-norm estimate on the dense
+factor, and the same floor refuses them.
 """
 
 from __future__ import annotations
@@ -86,13 +90,32 @@ class SparseLU:
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise SingularSystemError(str(exc), context) from exc
         self.rcond = _rcond(a, self._lu)
-        if not self.rcond > RCOND_TOL:   # also refuses NaN
-            raise SingularSystemError(
-                f"system is numerically singular: estimated rcond "
-                f"{self.rcond:.3e} (floor {RCOND_TOL:.0e})", context)
+        _refuse_singular(self.rcond, context)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(rhs)
+
+
+def _refuse_singular(rcond: float, context: str) -> None:
+    if not rcond > RCOND_TOL:   # also refuses NaN
+        raise SingularSystemError(
+            f"system is numerically singular: estimated rcond "
+            f"{rcond:.3e} (floor {RCOND_TOL:.0e})", context)
+
+
+def dense_lu_solve(matrix: np.ndarray, rhs: np.ndarray,
+                   context: str = "") -> tuple[np.ndarray, float]:
+    """Solve a dense square system; returns (x, rcond).
+
+    LAPACK getrf + getrs (the factor and solve of ``numpy.linalg.solve``)
+    with gecon's 1-norm rcond estimate in between; an exactly zero pivot
+    reads rcond 0.  Refused like SparseLU at rcond <= RCOND_TOL.
+    """
+    lu, piv, info = scipy.linalg.lapack.dgetrf(matrix)
+    rcond = 0.0 if info > 0 else float(scipy.linalg.lapack.dgecon(
+        lu, np.abs(matrix).sum(axis=0).max())[0])
+    _refuse_singular(rcond, context)
+    return scipy.linalg.lapack.dgetrs(lu, piv, rhs)[0], rcond
 
 
 def _rcond(a: scipy.sparse.csc_matrix, lu) -> float:
@@ -117,10 +140,6 @@ def _rcond(a: scipy.sparse.csc_matrix, lu) -> float:
         est = max(scipy.sparse.linalg.onenormest(inverse, t=1),
                   np.abs(lu.solve(alt)).sum() * 2.0 / (3.0 * n))
         return float(1.0 / (scipy.sparse.linalg.norm(a, 1) * est))
-
-
-def sparse_lu_solve(matrix, rhs, context: str = "") -> np.ndarray:
-    return SparseLU(matrix, context).solve(rhs)
 
 
 def gram_inner(gram, x: np.ndarray, y: np.ndarray) -> float:

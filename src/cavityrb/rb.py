@@ -6,15 +6,17 @@ velocity space, Gram-Schmidt orthonormalization, and projection of all
 affine operators (plus the dense convective and streamline-derivative
 tensors for Navier-Stokes).
 
-Online: dense solves under four formulations,
+Online: one dense solve under four formulations,
     (i)   enriched velocity space, stabilization blocks kept,
     (ii)  plain velocity space, stabilization blocks kept,
     (iii) enriched velocity space, stabilization dropped online,
     (iv)  plain velocity space, stabilization dropped online.
-Only the enriched option-i model is built.  Supremizer columns are
-orthonormalized after the velocity block, so the plain-space options are
-views of leading blocks of it, and truncating to the first greedy
-snapshots is a change of basis in reduced coordinates.
+Only the enriched model is built.  Its projected blocks are stacked into
+one affine saddle operator with the unknowns ordered [u | p | s], so an
+option is a leading size of that system plus a choice of keeping its
+stabilization terms, and one Newton solve serves Stokes and
+Navier-Stokes.  Truncating to the first greedy snapshots is a change of
+basis in reduced coordinates.
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ import scipy.linalg
 from .assembly import AffineOperator, GeometryMap
 from .hifi import FeSolution, FlowSystem
 from .fespace import FeFunction
-from .linalg import SparseLU, modified_gram_schmidt, smallest_gsv
+from .linalg import (SparseLU, dense_lu_solve, modified_gram_schmidt,
+                     smallest_gsv)
 from .util import NonConvergenceError, SingularSystemError, parallel_map
 
 OPTIONS = ("i", "ii", "iii", "iv")
 
 RB_NEWTON_TOL = 1e-10
 RB_NEWTON_MAX_ITER = 50
-DENSE_PIVOT_TOL = 1e-13
 
 
 def _report_drops(block: str, n_in: int, kept: list) -> None:
@@ -59,17 +61,6 @@ def _check_option(option: str) -> str:
     if option not in OPTIONS:
         raise ValueError(f"unknown option {option!r}; expected one of {OPTIONS}")
     return option
-
-
-def _dense_solve(k: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    """Dense solve with an explicit near-singularity guard."""
-    sv = scipy.linalg.svdvals(k)
-    if sv[0] == 0.0 or sv[-1] / sv[0] <= DENSE_PIVOT_TOL:
-        ratio = sv[-1] / sv[0] if sv[0] else 0.0
-        raise SingularSystemError(
-            f"reduced system is numerically singular "
-            f"(singular-value ratio {ratio:.3e})", context)
-    return np.linalg.solve(k, rhs)
 
 
 class SupremizerOperator:
@@ -106,7 +97,7 @@ class GreedyTrace:
 # Bases of every reduced array, one entry per axis: "v" the reduced
 # velocity (velocity then supremizer columns), "p" the reduced pressure,
 # "n" the greedy snapshots, None a full-order or fixed axis.  The table
-# drives option views, truncation and the .rbm format.
+# drives truncation, the saddle operator and the .rbm format.
 _AXES = {
     "z_v": (None, "v"), "z_p": (None, "p"), "lifting": (None,),
     "visc": ("v", "v"), "b": ("p", "v"), "suq": ("p", "v"),
@@ -120,6 +111,94 @@ _AXES = {
     "sup_coords": ("v", "n"),
 }
 
+# How the named blocks enter r(x) = K x + N(x, x) - F, by the rank of
+# their axes (vectors F, matrices K, tensors N): sign and whether the
+# term is a stabilization term.  b also enters K transposed, in the
+# velocity rows; the arrays without theta (the SUPG tensors) take "one".
+_SADDLE_TERMS = (
+    ("visc", 1.0, False), ("dconv", 1.0, False), ("b", 1.0, False),
+    ("suv", -1.0, True), ("spv", -1.0, True), ("suq", -1.0, True),
+    ("spq", -1.0, True), ("tln", -1.0, True), ("tzln", -1.0, True),
+    ("fvisc", 1.0, False), ("fconv", 1.0, False), ("gplain", 1.0, False),
+    ("gstab", 1.0, True), ("tll", 1.0, True),
+    ("conv", 1.0, False), ("tn", -1.0, True),
+)
+
+
+def _stack(parts: list, shape: tuple):
+    """(tag, stab, index, block) parts -> ([(tag, stab)], terms), one
+    term per (tag, stab) pair in order of first appearance, each
+    flattened into a row of ``terms``.  Tensors are symmetrized in their
+    two input axes."""
+    if not parts:
+        return None
+    keys: list[tuple] = []
+    terms: list[np.ndarray] = []
+    for tag, stab, index, block in parts:
+        if (tag, stab) not in keys:
+            keys.append((tag, stab))
+            terms.append(np.zeros(shape))
+        terms[keys.index((tag, stab))][index] += block
+    if len(shape) == 3:
+        terms = [0.5 * (t + t.transpose(0, 2, 1)) for t in terms]
+    return keys, np.stack(terms).reshape(len(keys), -1)
+
+
+class SaddleOperator:
+    """The reduced system r(x) = K(mu) x + N(mu)(x, x) - F(mu).
+
+    Unknowns are ordered [u | p | s], so the plain-space options solve
+    the leading n_u + n_p block.  K, F and N are each a stack of terms,
+    one per (theta tag, stabilization flag) pair, evaluated by one
+    contraction with the theta weights; an option that drops the
+    stabilization weighs its terms with zero.  N holds the convection
+    tensor in the velocity rows and minus the SUPG transport tensor in
+    the pressure rows, symmetrized in its two input axes so that
+    N(x, x) = (N x) x and the Jacobian is K + 2 N x; it is None for
+    Stokes.
+    """
+
+    def __init__(self, model: ReducedModel):
+        n_u, n_p = model.n_u, model.n_p
+        size = model.z_v.shape[1] + n_p
+        at = {"v": np.r_[0:n_u, n_u + n_p:size],
+              "p": np.arange(n_u, n_u + n_p)}
+        parts: dict[int, list] = {1: [], 2: [], 3: []}
+        for name, sign, stab in _SADDLE_TERMS:
+            value = getattr(model, name)
+            if value is None:
+                continue
+            axes = _AXES[name]
+            terms = value if isinstance(value, AffineOperator) \
+                else [("one", value)]
+            for tag, m in terms:
+                parts[len(axes)].append(
+                    (tag, stab, np.ix_(*(at[k] for k in axes)), sign * m))
+                if name == "b":
+                    parts[2].append(
+                        (tag, stab, np.ix_(at["v"], at["p"]), m.T))
+        self.size = size
+        self.f, self.k, self.n = (_stack(parts[r], (size,) * r)
+                                  for r in (1, 2, 3))
+        self.tags = tuple(dict.fromkeys(
+            tag for part in (self.k, self.f, self.n) if part is not None
+            for tag, _ in part[0]))
+
+    def evaluate(self, geometry: GeometryMap, mu, size: int,
+                 stabilized: bool):
+        """(K, F, N) at mu on the leading ``size`` unknowns; N None for
+        Stokes.  ``stabilized`` False drops the stabilization terms."""
+        theta = {tag: geometry.theta(tag, mu) for tag in self.tags}
+
+        def weigh(part, rank):
+            keys, terms = part
+            w = np.array([theta[tag] if stabilized or not stab else 0.0
+                          for tag, stab in keys])
+            return (w @ terms).reshape((self.size,) * rank)[
+                (slice(size),) * rank]
+        return (weigh(self.k, 2), weigh(self.f, 1),
+                None if self.n is None else weigh(self.n, 3))
+
 
 @dataclass
 class ReducedModel:
@@ -130,8 +209,10 @@ class ReducedModel:
     and the parameter-dependent blocks are AffineOperators.  ``sizes``
     holds (n_u, n_p) after each greedy step and ``sup_coords`` the raw
     supremizers in the coordinates of ``z_v``, which is all a truncation
-    needs.  A model from ``with_option`` is a view: its arrays are
-    leading blocks of those of ``master``, the model that owns them.
+    needs.  The named blocks are the stored form; ``saddle`` is derived
+    from them at construction.  ``option`` selects what the online solve
+    and the inf-sup diagnostics read: ``n_vel`` leading velocity columns
+    and the stabilization terms or not.
     """
 
     problem: str
@@ -174,10 +255,7 @@ class ReducedModel:
     u_snaps: np.ndarray
     p_snaps: np.ndarray
     sup_coords: np.ndarray
-    # set by with_option; a copy made with dataclasses.replace owns its
-    # arrays and is its own master
-    master: ReducedModel | None = field(default=None, init=False,
-                                        repr=False, compare=False)
+    saddle: SaddleOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # blocks given as (tag, array) term lists become operators
@@ -185,6 +263,7 @@ class ReducedModel:
             value = getattr(self, name)
             if isinstance(value, list):
                 setattr(self, name, AffineOperator(value))
+        self.saddle = SaddleOperator(self)
 
     @property
     def z_u(self) -> np.ndarray:
@@ -192,7 +271,7 @@ class ReducedModel:
 
     @property
     def z_s(self) -> np.ndarray:
-        return self.z_v[:, self.n_u:]
+        return self.z_v[:, self.n_u:self.n_vel]
 
     @property
     def n_s(self) -> int:
@@ -204,7 +283,10 @@ class ReducedModel:
 
     @property
     def n_vel(self) -> int:
-        return self.z_v.shape[1]
+        """Reduced velocity size: the supremizers count for i/iii only."""
+        if option_uses_supremizers(self.option):
+            return self.z_v.shape[1]
+        return self.n_u
 
     @property
     def stab_online(self) -> bool:
@@ -215,19 +297,15 @@ class ReducedModel:
                            "direct" if self.problem == "stokes" else "inverse")
 
     def z_velocity(self) -> np.ndarray:
-        return self.z_v
-
-
-def _master(model: ReducedModel) -> ReducedModel:
-    return model if model.master is None else model.master
+        return self.z_v[:, :self.n_vel]
 
 
 def _map_axes(model: ReducedModel, cuts: dict, change=None) -> dict:
     """The arrays that change when axes are cut or change basis.
 
-    ``cuts`` maps a basis kind to the number of leading entries kept (a
-    view); ``change`` = (kind, W) contracts every axis of that kind with
-    W, a change of basis as in W^T A W.
+    ``cuts`` maps a basis kind to the number of leading entries kept;
+    ``change`` = (kind, W) contracts every axis of that kind with W, a
+    change of basis as in W^T A W.
     """
     kinds = set(cuts) | ({change[0]} if change else set())
     index: dict[tuple, tuple] = {}   # per axes signature, built once
@@ -398,24 +476,19 @@ def build_reduced_model(system: FlowSystem, mus: np.ndarray,
 
 
 def with_option(model: ReducedModel, option: str) -> ReducedModel:
-    """The model as one online option sees it, sharing the master's arrays.
+    """The model under another online option, sharing every array.
 
-    Options i/iii keep the whole enriched basis; ii/iv keep the leading
-    velocity block of every velocity axis, as views.  A view can be
-    turned into any other option again.
+    Nothing is sliced here: the option alone tells the solves how many
+    leading unknowns to take and whether to keep the stabilization.
     """
     _check_option(option)
-    master = _master(model)
-    if option_uses_supremizers(option) and master.n_s == 0:
+    if option_uses_supremizers(option) and model.z_v.shape[1] == model.n_u:
         raise ValueError(
             f"option {option} needs supremizers but the model stores none")
     # a shallow copy, cheaper than dataclasses.replace: every online
     # query derives its view
-    view = copy.copy(master)
+    view = copy.copy(model)
     view.option = option
-    view.master = master
-    if not option_uses_supremizers(option):
-        vars(view).update(_map_axes(master, {"v": master.n_u}))
     return view
 
 
@@ -428,147 +501,65 @@ def truncate_model(model: ReducedModel, n: int) -> ReducedModel:
     matrix is the identity, and every velocity axis changes to the
     resulting basis; no full-order operator is touched.
     """
-    master = _master(model)
-    total = len(master.mus)
+    total = len(model.mus)
     if not 1 <= n <= total:
         raise ValueError(f"cannot truncate to N={n}")
-    if n == total:   # the master itself, not a round-off copy of it
-        return with_option(master, model.option)
-    n_u, n_p = (int(k) for k in master.sizes[n - 1])
-    eye = np.eye(master.n_vel)
-    w_s, kept = modified_gram_schmidt(list(master.sup_coords[:, :n].T), eye,
+    if n == total:   # the model itself, not a round-off copy of it
+        return model
+    n_u, n_p = (int(k) for k in model.sizes[n - 1])
+    eye = np.eye(model.z_v.shape[1])
+    w_s, kept = modified_gram_schmidt(list(model.sup_coords[:, :n].T), eye,
                                       against=eye[:, :n_u])
     _report_drops("supremizer", n, kept)
     w = np.concatenate([eye[:, :n_u], w_s], axis=1)
-    small = dataclasses.replace(master, n_u=n_u, **_map_axes(
-        master, {"p": n_p, "n": n}, ("v", w)))
-    return with_option(small, model.option)
+    return dataclasses.replace(model, n_u=n_u, **_map_axes(
+        model, {"p": n_p, "n": n}, ("v", w)))
 
 
 # ---------------------------------------------------------------------------
 # online solves
 
 
-def _linear_blocks(model: ReducedModel, mu):
-    geom = model.geometry()
-    a = model.visc.evaluate(geom, mu)
-    b = model.b.evaluate(geom, mu)
-    bt = b.T.copy()
-    btilde = b.copy()
-    s = None
-    if model.stab_online:
-        if model.suq is not None:
-            btilde = btilde - model.suq.evaluate(geom, mu)
-        s = model.spq.evaluate(geom, mu)
-        if model.suv is not None:
-            a = a - model.suv.evaluate(geom, mu)
-            bt = bt - model.spv.evaluate(geom, mu)
-    return a, bt, btilde, s
+def solve_reduced(model: ReducedModel, mu):
+    """The online solve of every problem and option; (U_N, P_N, info).
 
-
-def _stokes_system(model: ReducedModel, mu):
-    geom = model.geometry()
-    a, bt, btilde, s = _linear_blocks(model, mu)
-    nv, npr = a.shape[0], btilde.shape[0]
-    k = np.zeros((nv + npr, nv + npr))
-    k[:nv, :nv] = a
-    k[:nv, nv:] = bt
-    k[nv:, :nv] = btilde
-    if s is not None:
-        k[nv:, nv:] = -s
-    g = model.gplain.evaluate(geom, mu)
-    if model.stab_online and model.gstab is not None:
-        g = g + model.gstab.evaluate(geom, mu)
-    rhs = np.concatenate([model.fvisc.evaluate(geom, mu), g])
-    return k, rhs
-
-
-def solve_reduced_stokes(model: ReducedModel, mu):
-    """Dense saddle solve; returns (U_N, P_N)."""
-    k, rhs = _stokes_system(model, mu)
-    x = _dense_solve(k, rhs, f"option {model.option} at mu={tuple(mu)}")
-    nv = model.n_vel
-    return x[:nv], x[nv:]
-
-
-def _ns_pieces(model: ReducedModel, mu):
-    geom = model.geometry()
-    a, bt, btilde, s = _linear_blocks(model, mu)
-    a = a + model.dconv.evaluate(geom, mu)
-    conv = model.conv.evaluate(geom, mu)
-    f = model.fvisc.evaluate(geom, mu) + model.fconv.evaluate(geom, mu)
-    g = model.gplain.evaluate(geom, mu)
-    stab_conv = None
-    if model.stab_online:
-        if model.gstab is not None:
-            g = g + model.gstab.evaluate(geom, mu)
-        if model.tn is not None:
-            stab_conv = (model.tn, model.tln, model.tzln, model.tll)
-    return a, bt, btilde, s, conv, f, g, stab_conv
-
-
-def solve_reduced_ns(model: ReducedModel, mu):
-    """Dense Newton on the reduced nonlinear residual; (U_N, P_N, info)."""
-    a, bt, btilde, s, conv, f, g, stab_conv = _ns_pieces(model, mu)
-    nv, npr = a.shape[0], btilde.shape[0]
-
-    def residual(u, p):
-        r_u = a @ u + np.einsum("ijk,j,k->i", conv, u, u) + bt @ p - f
-        r_p = btilde @ u - g
-        if s is not None:
-            r_p = r_p - s @ p
-        if stab_conv is not None:
-            tn, tln, tzln, tll = stab_conv
-            r_p = r_p - (tll + tln @ u + tzln @ u
-                         + np.einsum("kji,j,i->k", tn, u, u))
-        return np.concatenate([r_u, r_p])
-
-    def jacobian(u):
-        j = np.zeros((nv + npr, nv + npr))
-        j[:nv, :nv] = a + np.einsum("ijk,k->ij", conv, u) \
-            + np.einsum("ijk,j->ik", conv, u)
-        j[:nv, nv:] = bt
-        j_pu = btilde.copy()
-        if stab_conv is not None:
-            tn, tln, tzln, _ = stab_conv
-            j_pu = j_pu - (tln + tzln + np.einsum("kji,j->ki", tn, u)
-                           + np.einsum("kji,i->kj", tn, u))
-        j[nv:, :nv] = j_pu
-        if s is not None:
-            j[nv:, nv:] = -s
-        return j
-
-    try:
-        u, p = solve_reduced_stokes(model, mu)
-    except SingularSystemError:
-        raise
-    ref = float(np.linalg.norm(residual(np.zeros(nv), np.zeros(npr))))
-    history = []
-    iterations = 0
+    Newton on r(x) = K x + N(x, x) - F from x = 0; the first step is the
+    Stokes solve, and without N (Stokes) it is the only one.  Every step
+    goes through ``dense_lu_solve``, so a system with rcond at or below
+    ``linalg.RCOND_TOL`` raises SingularSystemError.  ``info`` holds the
+    number of factored steps, the smallest rcond among them and, for
+    Navier-Stokes, the residual history.
+    """
+    size = model.n_vel + model.n_p
+    k, f, n = model.saddle.evaluate(model.geometry(), mu, size,
+                                    model.stab_online)
+    context = f"option {model.option} at mu={tuple(mu)}"
+    x = np.zeros(size)
+    jac, rhs = k, f              # -r and its Jacobian at x = 0
+    history = [] if n is None else [float(np.linalg.norm(f))]
+    rconds = []
     while True:
-        r = residual(u, p)
-        rn = float(np.linalg.norm(r))
-        history.append(rn)
-        if rn <= RB_NEWTON_TOL * ref:
+        dx, rcond = dense_lu_solve(jac, rhs, context)
+        x += dx
+        rconds.append(rcond)
+        if n is None:
             break
-        if iterations >= RB_NEWTON_MAX_ITER:
+        nx = n @ x
+        rhs = f - (k + nx) @ x
+        history.append(float(np.linalg.norm(rhs)))
+        if history[-1] <= RB_NEWTON_TOL * history[0]:
+            break
+        if len(rconds) >= RB_NEWTON_MAX_ITER:
             raise NonConvergenceError(
                 f"reduced Newton stalled at mu={tuple(mu)} under option "
-                f"{model.option} (residual {rn:.3e})", history)
-        delta = _dense_solve(jacobian(u), -r,
-                             f"option {model.option} at mu={tuple(mu)}")
-        u = u + delta[:nv]
-        p = p + delta[nv:]
-        iterations += 1
-    return u, p, {"iterations": iterations, "residuals": history}
-
-
-def solve_reduced(model: ReducedModel, mu):
-    """Problem-dispatching online solve; returns (U_N, P_N, info)."""
-    if model.problem == "navier_stokes":
-        return solve_reduced_ns(model, mu)
-    u, p = solve_reduced_stokes(model, mu)
-    return u, p, {"iterations": 1}
+                f"{model.option} (residual {history[-1]:.3e})", history)
+        jac = k + 2.0 * nx
+    info = {"iterations": len(rconds), "rcond": min(rconds)}
+    if n is not None:
+        info["residuals"] = history
+    n_u, n_p = model.n_u, model.n_p
+    return (np.concatenate([x[:n_u], x[n_u + n_p:]]), x[n_u:n_u + n_p],
+            info)
 
 
 def reconstruct(model: ReducedModel, system: FlowSystem, u: np.ndarray,
@@ -685,9 +676,10 @@ def greedy_offline(system: FlowSystem, n_max: int, train_size: int,
 
 
 def plain_infsup(model: ReducedModel, mu) -> float:
-    """Classic reduced inf-sup constant of the divergence block."""
-    b_mu = model.b.evaluate(model.geometry(), mu)
-    return smallest_gsv(b_mu, model.xu, model.xp)
+    """Classic reduced inf-sup constant of the option's divergence block."""
+    n = model.n_vel
+    b_mu = model.b.evaluate(model.geometry(), mu)[:, :n]
+    return smallest_gsv(b_mu, model.xu[:n, :n], model.xp)
 
 
 def modified_infsup(model: ReducedModel, mu) -> float:
@@ -700,8 +692,9 @@ def modified_infsup(model: ReducedModel, mu) -> float:
     this the plain inf-sup constant.
     """
     geom = model.geometry()
-    b_mu = model.b.evaluate(geom, mu)
-    cho = scipy.linalg.cho_factor(model.xu)
+    n = model.n_vel
+    b_mu = model.b.evaluate(geom, mu)[:, :n]
+    cho = scipy.linalg.cho_factor(model.xu[:n, :n])
     m1 = b_mu @ scipy.linalg.cho_solve(cho, b_mu.T)
     m1 = 0.5 * (m1 + m1.T)
     if model.stab_online:
@@ -726,7 +719,7 @@ _RBM_FORMAT = "cavityrb-rbm-3"
 
 # header fields: every ReducedModel field that is not an array
 _HEADER = tuple(f for f in dataclasses.fields(ReducedModel)
-                if f.name not in _AXES and f.name != "master")
+                if f.name not in _AXES and f.init)
 # arrays every model has; the others are None for some configurations
 _REQUIRED = tuple(f.name for f in dataclasses.fields(ReducedModel)
                   if f.name in _AXES and "None" not in f.type)
@@ -743,13 +736,12 @@ def _fmt(x) -> str:
 def save_model(model: ReducedModel, path, config_echo: dict | None = None):
     """Self-describing text serialization (17-significant-digit floats).
 
-    Writes the arrays of the master model and the option of ``model``,
-    so the loaded model can again take any option.
+    Writes every stored array and the option of ``model``; the loaded
+    model can again take any option.
     """
-    master = _master(model)
     arrays: list[tuple[str, np.ndarray]] = []
     for name in _AXES:
-        value = getattr(master, name)
+        value = getattr(model, name)
         if value is None:
             continue
         if isinstance(value, AffineOperator):
@@ -856,5 +848,6 @@ def load_model(path):
         found.sort(key=lambda t: t[0])
         values[name] = AffineOperator([(tag, m) for _, tag, m in found])
     scalars = {f.name: _PARSE[f.type](header[f.name]) for f in _HEADER}
-    master = ReducedModel(**{**scalars, "option": "i"}, **values)
-    return with_option(master, scalars["option"]), echo
+    model = ReducedModel(**scalars, **values)
+    # refuses an option the stored bases cannot serve
+    return with_option(model, model.option), echo

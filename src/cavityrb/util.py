@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
@@ -29,10 +28,6 @@ class NonConvergenceError(RuntimeError):
 
 class PointNotFoundError(ValueError):
     """Evaluation point lies outside every mesh triangle."""
-
-
-def machine_threads() -> int:
-    return os.cpu_count() or 1
 
 
 def parallel_map(fn: Callable, items: Iterable, threads: int = 1) -> list:

@@ -59,9 +59,12 @@ def test_theta_values_of_mapped_stabilization_tags():
 
 
 def test_geometry_identity_at_reference():
+    # at mu2 = mu_bar2 the stretch is the identity: every viscous weight
+    # is nu and the divergence weight a is 1
     g = GeometryMap(mu_bar2=1.0)
-    assert np.allclose(g.kappa((0.7, 1.0)), 0.7 * np.eye(2))
-    assert np.allclose(g.chi((0.7, 1.0)), np.eye(2))
+    assert g.a(1.0) == 1.0 and g.theta("a", (0.7, 1.0)) == 1.0
+    for tag in ("nu", "nu_over_a", "nu_times_a"):
+        assert g.theta(tag, (0.7, 1.0)) == pytest.approx(0.7, rel=1e-15)
 
 
 def test_inverse_viscosity_rule():
@@ -218,8 +221,6 @@ def test_gram_matrices():
     x = interpolate(scal, lambda x, y: x).values
     assert x @ (h1s @ x) == pytest.approx(2.0, rel=1e-13)
     assert np.abs(h1s @ ones).max() < 1e-13
-    h1 = assemble_gram(scal, "h1")
-    assert np.abs((h1 - l2 - h1s)).max() < 1e-13
     with pytest.raises(ValueError):
         assemble_gram(scal, "h2")
     vec = make_space(mesh, "P1", 2)

@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from cavityrb.linalg import (CsrPattern, SparseLU, modified_gram_schmidt,
-                             smallest_gsv, sparse_lu_solve)
+from cavityrb.linalg import (RCOND_TOL, CsrPattern, SparseLU, dense_lu_solve,
+                             modified_gram_schmidt, smallest_gsv)
 from cavityrb.util import SingularSystemError
 
 
 def test_lu_identity():
     ident = scipy.sparse.identity(5, format="csc")
     rhs = np.arange(5.0)
-    assert np.allclose(sparse_lu_solve(ident, rhs), rhs, atol=1e-15)
+    assert np.allclose(SparseLU(ident).solve(rhs), rhs, atol=1e-15)
 
 
 def test_lu_hand_example():
     m = scipy.sparse.csc_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    x = sparse_lu_solve(m, np.array([3.0, 4.0]))
+    x = SparseLU(m).solve(np.array([3.0, 4.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
 
@@ -81,6 +81,28 @@ def test_lu_rcond_leaves_the_global_rng_alone():
     assert all(np.array_equal(x, y) for x, y in zip(state, after))
 
 
+def test_dense_lu_solve_matches_numpy_and_brackets_rcond():
+    rng = np.random.default_rng(6)
+    for n in (1, 7, 60):
+        a = rng.standard_normal((n, n)) + np.diag(rng.uniform(0.0, 3.0, n))
+        rhs = rng.standard_normal(n)
+        x, rcond = dense_lu_solve(a, rhs)
+        want = np.linalg.solve(a, rhs)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+        exact = 1.0 / (np.linalg.norm(a, 1) * np.linalg.norm(np.linalg.inv(a), 1))
+        assert exact * (1 - 1e-12) <= rcond <= 10.0 * exact
+
+
+@pytest.mark.parametrize("case", ["exact", "near"])
+def test_dense_lu_solve_refuses_singular_with_rcond(case):
+    m = np.ones((3, 3)) if case == "exact" else _saddle(1e-16).toarray()
+    with pytest.raises(SingularSystemError,
+                       match=r"rcond \d\.\d{3}e[-+]\d+ \(floor 1e-15\)") as err:
+        dense_lu_solve(m, np.ones(len(m)), context="dense unit test")
+    assert "dense unit test" in str(err.value)
+    assert RCOND_TOL == 1e-15
+
+
 def test_lu_random_residuals():
     rng = np.random.default_rng(3)
     for trial in range(10):
@@ -92,7 +114,7 @@ def test_lu_random_residuals():
         dense += np.diag(rng.uniform(1.0, 2.0, size=n))
         m = scipy.sparse.csc_matrix(dense)
         rhs = rng.standard_normal(n)
-        x = sparse_lu_solve(m, rhs)
+        x = SparseLU(m).solve(rhs)
         scale = np.linalg.norm(dense, "fro") * np.linalg.norm(x) \
             + np.linalg.norm(rhs)
         assert np.linalg.norm(m @ x - rhs) <= 1e-10 * scale

@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from cavityrb.assembly import AffineOperator, StabilizationConfig
+from cavityrb.cli import main
 from cavityrb.hifi import FeSolution, FlowSystem, ProblemConfig
+from cavityrb.linalg import RCOND_TOL
 from cavityrb.rb import (_AXES, OPTIONS, GreedyTrace, SupremizerOperator,
-                         build_reduced_model, fe_indicator, greedy_offline,
-                         load_model, modified_infsup, plain_infsup,
-                         reconstruct, save_model, solve_reduced,
-                         solve_reduced_ns, solve_reduced_stokes,
-                         training_grid, truncate_model, with_option)
+                         _map_axes, build_reduced_model, fe_indicator,
+                         greedy_offline, load_model, modified_infsup,
+                         plain_infsup, reconstruct, save_model,
+                         solve_reduced, training_grid, truncate_model,
+                         with_option)
 from cavityrb.rb import test_parameters as draw_test_parameters
 from cavityrb.util import NonConvergenceError, SingularSystemError
 
 SEED = 7
+MU = (0.61, 2.3)
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +28,25 @@ def stokes_rb():
                         StabilizationConfig("BrezziPitkaranta", 0.05))
     system = FlowSystem(cfg, 8, 4)
     model, trace = greedy_offline(system, n_max=4, train_size=16, seed=SEED)
+    return system, model, trace
+
+
+@pytest.fixture(scope="module")
+def p2p2_rho_rb():
+    # rho = 1 adds the momentum-row terms: the only setup with suv/spv
+    cfg = ProblemConfig("stokes", "P2P2",
+                        StabilizationConfig("ResidualBased", 0.05, 1.0))
+    system = FlowSystem(cfg, 8, 4)
+    model, trace = greedy_offline(system, n_max=3, train_size=9, seed=SEED)
+    return system, model, trace
+
+
+@pytest.fixture(scope="module")
+def p1p0_rb():
+    cfg = ProblemConfig("stokes", "P1P0",
+                        StabilizationConfig("EdgeJumpP1P0", 0.05))
+    system = FlowSystem(cfg, 8, 4)
+    model, trace = greedy_offline(system, n_max=3, train_size=9, seed=SEED)
     return system, model, trace
 
 
@@ -218,26 +240,42 @@ def test_option_slicing_semantics(stokes_rb):
     assert m4.n_s == 0 and not m4.stab_online
     with pytest.raises(ValueError):
         with_option(model, "v")
-    # a model that owns no supremizers cannot serve options i/iii
-    plain = dataclasses.replace(m2)
-    with pytest.raises(ValueError):
-        with_option(plain, "iii")
+    # a view slices nothing: it shares every array and the operator
+    for view in (m2, m3, m4):
+        assert view.saddle is model.saddle
+        assert all(getattr(view, name) is getattr(model, name)
+                   for name in _AXES)
+    # a model that stores no supremizers cannot serve options i/iii
+    plain = _without_supremizers(model)
+    for opt in ("i", "iii"):
+        with pytest.raises(ValueError, match="supremizers"):
+            with_option(plain, opt)
+
+
+def _without_supremizers(model):
+    """The model with its velocity axes cut to the velocity basis."""
+    return dataclasses.replace(model, **_map_axes(model, {"v": model.n_u}))
 
 
 def test_stripped_operators_are_leading_blocks(stokes_rb):
+    # options ii and iv solve exactly the leading n_u + n_p block of the
+    # enriched system: the same bits as a model that never stored the
+    # supremizers
     _, model, _ = stokes_rb
-    m2 = with_option(model, "ii")
-    n = model.n_u
-    for (tag, red), (tag2, full) in zip(m2.visc.terms, model.visc.terms):
-        assert tag == tag2 and np.array_equal(red, full[:n, :n])
-        assert np.shares_memory(red, full)
-    for (_, red), (_, full) in zip(m2.b.terms, model.b.terms):
-        assert np.array_equal(red, full[:, :n])
-        assert np.shares_memory(red, full)
-    assert np.array_equal(m2.xu, model.xu[:n, :n])
-    assert np.shares_memory(m2.xu, model.xu)
-    assert np.shares_memory(m2.z_velocity(), model.z_velocity())
-    assert m2.spq is model.spq and m2.z_p is model.z_p
+    plain = _without_supremizers(model)
+    size = model.n_u + model.n_p
+    geom = model.geometry()
+    for keep in (True, False):
+        k, f, n = model.saddle.evaluate(geom, MU, size, keep)
+        k0, f0, n0 = plain.saddle.evaluate(geom, MU, size, keep)
+        assert np.array_equal(k, k0) and np.array_equal(f, f0)
+        assert n is None and n0 is None
+    for opt in ("ii", "iv"):
+        got = solve_reduced(with_option(model, opt), MU)
+        want = solve_reduced(with_option(plain, opt), MU)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[0].shape == (model.n_u,)
 
 
 def _same_arrays(a, b):
@@ -346,15 +384,159 @@ def test_fully_unstabilized_option_degrades_or_fails(stokes_rb):
 
 
 # ---------------------------------------------------------------------------
+# the reduced system against its block-by-block assembly
+
+
+def _block_solve(model, mu):
+    """Reference solve from the named blocks, cut to the option's
+    velocity size: the saddle [[A - Suv, B^T - Spv], [B - Suq, -Spq]],
+    and for Navier-Stokes Newton on the block residual and Jacobian,
+    started from that Stokes solution."""
+    geom, n = model.geometry(), model.n_vel
+    keep = model.stab_online
+
+    def ev(name, cut=np.s_[...]):
+        return getattr(model, name).evaluate(geom, mu)[cut]
+    a, b = ev("visc", np.s_[:n, :n]), ev("b", np.s_[:, :n])
+    bt, btilde, f, g = b.T, b, ev("fvisc", np.s_[:n]), ev("gplain")
+    s = np.zeros((model.n_p, model.n_p))
+    if keep:
+        if model.suq is not None:
+            btilde = btilde - ev("suq", np.s_[:, :n])
+        s = ev("spq")
+        if model.suv is not None:
+            a = a - ev("suv", np.s_[:n, :n])
+            bt = bt - ev("spv", np.s_[:n, :])
+        if model.gstab is not None:
+            g = g + ev("gstab")
+    x = np.linalg.solve(np.block([[a, bt], [btilde, -s]]),
+                        np.concatenate([f, g]))
+    if model.problem == "stokes":
+        return x[:n], x[n:]
+    a = a + ev("dconv", np.s_[:n, :n])
+    conv = ev("conv", np.s_[:n, :n, :n])
+    f = f + ev("fconv", np.s_[:n])
+    supg = keep and model.tn is not None
+    if supg:
+        tn, tll = model.tn[:, :n, :n], model.tll
+        tl = model.tln[:, :n] + model.tzln[:, :n]
+
+    def residual(u, p):
+        r_u = a @ u + np.einsum("ijk,j,k->i", conv, u, u) + bt @ p - f
+        r_p = btilde @ u - s @ p - g
+        if supg:
+            r_p = r_p - (tll + tl @ u + np.einsum("kji,j,i->k", tn, u, u))
+        return np.concatenate([r_u, r_p])
+
+    def jacobian(u):
+        j_uu = a + np.einsum("ijk,k->ij", conv, u) \
+            + np.einsum("ijk,j->ik", conv, u)
+        j_pu = btilde
+        if supg:
+            j_pu = j_pu - (tl + np.einsum("kji,j->ki", tn, u)
+                           + np.einsum("kji,i->kj", tn, u))
+        return np.block([[j_uu, bt], [j_pu, -s]])
+
+    ref = np.linalg.norm(residual(np.zeros(n), np.zeros(model.n_p)))
+    for _ in range(50):
+        r = residual(x[:n], x[n:])
+        if np.linalg.norm(r) <= 1e-10 * ref:
+            return x[:n], x[n:]
+        x = x + np.linalg.solve(jacobian(x[:n]), -r)
+    raise NonConvergenceError("block Newton stalled", [])
+
+
+@pytest.mark.parametrize("case", ["stokes_rb", "p2p2_rho_rb", "p1p0_rb",
+                                  "ns_rb"])
+def test_solve_reduced_matches_block_assembly(case, request):
+    system, model, _ = request.getfixturevalue(case)
+    cfg = system.config
+    rng = np.random.default_rng(5)
+    mus = [tuple(model.mus[-1])] + [
+        (rng.uniform(*cfg.mu1_range), rng.uniform(*cfg.mu2_range))
+        for _ in range(3)]
+    # Stokes agrees to round-off, Navier-Stokes to the Newton tolerance
+    tol = 1e-8 if cfg.problem == "navier_stokes" else 1e-11
+    for opt in OPTIONS:
+        view = with_option(model, opt)
+        for mu in mus:
+            u, p, info = solve_reduced(view, mu)
+            u0, p0 = _block_solve(view, mu)
+            assert np.linalg.norm(u - u0) <= tol * np.linalg.norm(u0), opt
+            assert np.linalg.norm(p - p0) <= tol * np.linalg.norm(p0), opt
+            assert RCOND_TOL < info["rcond"] <= 1.0
+
+
+def _near_duplicate_pressure(model, eps):
+    """The model with its second pressure basis column replaced by the
+    first plus eps times the second; eps = 0 duplicates the first."""
+    w = np.eye(model.n_p)
+    w[:2, 1] = (1.0, eps)
+    return dataclasses.replace(model, **_map_axes(model, {}, ("p", w)))
+
+
+def _exact_rcond(view, mu):
+    k, _, _ = view.saddle.evaluate(view.geometry(), mu,
+                                   view.n_vel + view.n_p, view.stab_online)
+    return 1.0 / (np.linalg.norm(k, 1) * np.linalg.norm(np.linalg.inv(k), 1))
+
+
+@pytest.mark.parametrize("eps", [0.0, 3e-8])
+def test_singular_reduced_system_raises_with_rcond(stokes_rb, eps):
+    # a near-duplicate column perturbs a row and a column, so rcond
+    # falls as eps^2: about 1e-16 to 4e-18 at eps = 3e-8
+    _, model, _ = stokes_rb
+    bad = _near_duplicate_pressure(model, eps)
+    for opt in OPTIONS:
+        view = with_option(bad, opt)
+        if eps:
+            assert 0.0 < _exact_rcond(view, MU) < RCOND_TOL
+        with pytest.raises(SingularSystemError,
+                           match=r"rcond \d\.\d{3}e[-+]\d+ \(floor 1e-15\)") \
+                as err:
+            solve_reduced(view, MU)
+        assert f"option {opt} at mu={MU}" in str(err.value)
+
+
+def test_well_posed_reduced_solve_reports_rcond(stokes_rb):
+    # the same construction at eps = 1e-5 reads rcond 3e-13 to 1e-11
+    _, model, _ = stokes_rb
+    near = _near_duplicate_pressure(model, 1e-5)
+    for opt in OPTIONS:
+        for view in (with_option(model, opt), with_option(near, opt)):
+            rcond = solve_reduced(view, MU)[2]["rcond"]
+            exact = _exact_rcond(view, MU)
+            # gecon's estimate of ||K^-1|| is a lower bound, so rcond is
+            # an upper bound up to the inverse's own error (kappa * eps)
+            assert rcond > RCOND_TOL
+            assert exact * (1 - 1e-6) <= rcond <= 10.0 * exact
+
+
+def test_online_on_singular_model_exits_3(stokes_rb, tmp_path, capsys):
+    _, model, _ = stokes_rb
+    path = tmp_path / "model.rbm"
+    save_model(_near_duplicate_pressure(model, 0.0), path)
+    code = main(["online", "--model", str(path), "--seed", "1",
+                 "--mu1", str(MU[0]), "--mu2", str(MU[1]),
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert "rcond" in capsys.readouterr().err
+    assert not (tmp_path / "online.txt").exists()
+
+
+# ---------------------------------------------------------------------------
 # inf-sup diagnostics
 
 
 def _toy_model(stokes_model, b_mat, xu, xp, spq=None, option="i"):
-    return dataclasses.replace(
-        stokes_model, option=option,
+    # two velocity and two pressure columns, so every block agrees in
+    # shape with the toy ones
+    toy = _map_axes(stokes_model, {"v": 2, "p": 2})
+    toy.update(
         b=[("one", np.asarray(b_mat, dtype=float))],
         xu=np.asarray(xu, dtype=float), xp=np.asarray(xp, dtype=float),
         spq=None if spq is None else [("one", np.asarray(spq, dtype=float))])
+    return dataclasses.replace(stokes_model, option=option, n_u=2, **toy)
 
 
 def test_plain_infsup_hand_example(stokes_rb):
@@ -409,10 +591,12 @@ def test_ns_reduced_reproduces_training(ns_rb):
 
 def test_ns_reduced_newton_diagnostics(ns_rb):
     _, model, _ = ns_rb
-    u, p, info = solve_reduced_ns(model, tuple(model.mus[-1]))
+    u, p, info = solve_reduced(model, tuple(model.mus[-1]))
     assert info["iterations"] <= 50
     hist = info["residuals"]
     assert hist[-1] < hist[0]
+    assert len(hist) == info["iterations"] + 1
+    assert RCOND_TOL < info["rcond"] <= 1.0
     assert u.shape == (model.n_vel,) and p.shape == (model.n_p,)
 
 
@@ -467,8 +651,8 @@ def test_loaded_model_solves_identically(tmp_path, stokes_rb):
     save_model(model, path)
     back, _ = load_model(path)
     mu = (0.61, 2.3)
-    u0, p0 = solve_reduced_stokes(model, mu)
-    u1, p1 = solve_reduced_stokes(back, mu)
+    u0, p0, _ = solve_reduced(model, mu)
+    u1, p1, _ = solve_reduced(back, mu)
     assert np.array_equal(u0, u1) and np.array_equal(p0, p1)
 
 

@@ -8,8 +8,7 @@ import pytest
 from cavityrb.mesh import build_rect_mesh
 from cavityrb.util import (ConfigError, NonConvergenceError,
                            PointNotFoundError, SingularSystemError,
-                           csv_escape, fmt17, machine_threads, parallel_map,
-                           write_csv)
+                           csv_escape, fmt17, parallel_map, write_csv)
 from cavityrb.vtk import write_vtk
 
 
@@ -23,10 +22,6 @@ def test_error_types():
     assert "[" not in str(bare)
     nc = NonConvergenceError("stalled", residual_history=[1.0, 0.5])
     assert nc.residual_history == [1.0, 0.5]
-
-
-def test_machine_threads_positive():
-    assert machine_threads() >= 1
 
 
 def test_parallel_map_preserves_order():
