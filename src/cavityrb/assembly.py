@@ -5,14 +5,19 @@ parameter enters only through scalar coefficients (the map stretches x
 by a(mu2), giving the viscous tensor nu*diag(1/a, a) and the divergence
 tensor diag(1, a)).  Each form is returned as an AffineOperator: a list
 of (theta-tag, matrix) terms whose weighted sum reproduces the mapped
-operator at any parameter.
+operator at any parameter.  How the blocks enter the saddle system
+(sign, Galerkin or stabilization) is not decided here but in
+``hifi.SADDLE_BLOCKS``; right-hand sides are not assembled here either,
+since the lifting right-hand side is the residual at the zero
+homogeneous state (``hifi.FlowSystem.lifting_rhs``).
 
-The Stokes residual stabilization (BrezziPitkaranta, ResidualBased) is
-the physical form pulled back the same way, so it stays strongly
-consistent at every stretch.  Its weight is the tensor delta*h_K^2 J J^T
-with J = diag(a, 1): the reference element's h_K pushed forward through
-the stretch, i.e. each direction weighted by the element's extent along
-it.  The pressure Laplacian then becomes a times its reference form.
+The Stokes residual stabilization is the physical form pulled back the
+same way, so it stays strongly consistent at every stretch.  Its weight
+is the tensor delta*h_K^2 J J^T with J = diag(a, 1): the reference
+element's h_K pushed forward through the stretch, i.e. each direction
+weighted by the element's extent along it.  The pressure Laplacian then
+becomes a times its reference form; it is the whole of
+BrezziPitkaranta, while ResidualBased adds the viscous-residual blocks.
 The Navier-Stokes (SUPGFamily) blocks and the P1/P0 jump penalty
 (delta*h_sigma per interior edge) stay on the reference elements
 (reference h_K, no pullback); so do the body-force terms.
@@ -26,7 +31,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .fespace import FeFunction, FunctionSpace, bary_coords, shape_dlam, shape_values
+from .fespace import FunctionSpace, bary_coords, shape_dlam, shape_values
 from .linalg import CsrPattern
 from .quadrature import triangle_rule
 
@@ -420,8 +425,9 @@ class StabilizationConfig:
 
     method: one of None, BrezziPitkaranta, ResidualBased, SUPGFamily,
     EdgeJumpP1P0 (strings; "None" disables).  rho selects the momentum
-    test-function variant of the residual family; the continuity-row
-    terms (rho = 0) are the supported default.
+    test-function variant of ResidualBased; the continuity-row terms
+    (rho = 0) are the default and the only choice for the pressure-only
+    BrezziPitkaranta and for SUPGFamily.
     """
 
     method: str = "None"
@@ -433,8 +439,9 @@ class StabilizationConfig:
             raise ValueError(f"unknown stabilization method {self.method!r}")
         if self.delta < 0.0:
             raise ValueError("delta must be non-negative")
-        if self.method == "SUPGFamily" and self.rho != 0.0:
-            raise ValueError("SUPGFamily supports rho = 0 only")
+        if self.method in ("BrezziPitkaranta", "SUPGFamily") \
+                and self.rho != 0.0:
+            raise ValueError(f"{self.method} supports rho = 0 only")
         if self.rho not in (0.0, 1.0, -1.0):
             raise ValueError("rho must be one of 0, 1, -1")
 
@@ -447,8 +454,7 @@ class StabilizationConfig:
 class StabilizationOperators:
     """Assembled stabilization blocks; absent blocks are None.
 
-    The blocks enter the saddle system with minus signs:
-    [[A - Suv, B^T - Spv], [B - Suq, -Spq]].
+    ``hifi.SADDLE_BLOCKS`` says where and with what sign each enters.
     """
 
     config: StabilizationConfig
@@ -571,11 +577,13 @@ def assemble_stokes_stabilization(vel: FunctionSpace, prs: FunctionSpace,
                                   geometry: GeometryMap,
                                   config: StabilizationConfig
                                   ) -> StabilizationOperators:
-    """Residual-based (or edge-jump) blocks for the linear problem.
+    """Residual-based, pressure-Laplacian or edge-jump blocks for the
+    linear problem.
 
     The residual blocks are the physical forms pulled back to the
     reference rectangle, so they stay strongly consistent at every
     stretch; at mu2 = mu_bar2 they reduce to the reference-domain forms.
+    BrezziPitkaranta penalizes the pressure gradient alone: spq only.
     """
     if not config.active:
         raise ValueError("stabilization assembly requires an active method")
@@ -586,6 +594,8 @@ def assemble_stokes_stabilization(vel: FunctionSpace, prs: FunctionSpace,
         return StabilizationOperators(config, spq=spq)
 
     spq = AffineOperator([("a", _pressure_laplacian(prs, config.delta))])
+    if config.method == "BrezziPitkaranta":
+        return StabilizationOperators(config, spq=spq)
     suq = _mapped_viscous_residual(vel, prs, config.delta)
     out = StabilizationOperators(config, suq=suq, spq=spq)
     if config.rho != 0.0:
@@ -596,80 +606,27 @@ def assemble_stokes_stabilization(vel: FunctionSpace, prs: FunctionSpace,
 
 def assemble_ns_stabilization(vel: FunctionSpace, prs: FunctionSpace,
                               geometry: GeometryMap,
-                              config: StabilizationConfig,
-                              w: FeFunction | None = None
+                              config: StabilizationConfig
                               ) -> StabilizationOperators:
     """Streamline-upwind blocks; the convective coupling is nonlinear.
 
     Returns the linear blocks plus a SupgAssembler for the transport
     term.  Unlike the Stokes residual blocks, these are the
     reference-domain forms (reference h_K, no pullback through the
-    stretch).  When ``w`` is given, suq additionally carries the
-    transport matrix frozen at w (useful for direct inspection; the
-    solvers call the assembler directly).
+    stretch).
     """
     if config.method != "SUPGFamily":
         raise ValueError("Navier-Stokes stabilization uses SUPGFamily")
-    out = StabilizationOperators(
+    return StabilizationOperators(
         config,
         suq=AffineOperator([("nu", _viscous_residual_block(vel, prs,
                                                            config.delta))]),
         spq=AffineOperator([("one", _pressure_laplacian(prs, config.delta))]),
         supg=SupgAssembler(vel, prs, config.delta))
-    if w is not None:
-        frozen = out.supg.transport(w.values)
-        out.suq = AffineOperator(out.suq.terms + [("one", frozen)])
-    return out
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides
-
-
-def assemble_rhs(vel: FunctionSpace, prs: FunctionSpace, geometry: GeometryMap,
-                 lifting: FeFunction, problem: str = "stokes",
-                 viscous: AffineOperator | None = None,
-                 divergence: AffineOperator | None = None,
-                 convection: ConvectionAssembler | None = None,
-                 stab: StabilizationOperators | None = None,
-                 body_force=None):
-    """Lifting right-hand sides (fbar, gbar) as affine vectors.
-
-    fbar = (f, v) - a(l, v) [+ momentum-row residual lifting term for
-    rho != 0] [- c(l, l, v) for Navier-Stokes];
-    gbar = -b(l, q) + viscous-residual lifting term + body-force
-    consistency term when stabilization is active.  The quadratic
-    transport-stabilization lifting couplings are not folded in here;
-    the nonlinear solvers and the reduced tensors carry them explicitly.
-    """
-    if problem not in ("stokes", "navier_stokes"):
-        raise ValueError(f"unknown problem {problem!r}")
-    lvec = lifting.values
-    if viscous is None:
-        viscous = assemble_viscous(vel, geometry)
-    if divergence is None:
-        divergence = assemble_divergence(vel, prs, geometry)
-
-    fterms = [(tag, -(m @ lvec)) for tag, m in viscous.terms]
-    if stab is not None and stab.suv is not None:
-        fterms += [(tag, m @ lvec) for tag, m in stab.suv.terms]
-    if problem == "navier_stokes":
-        if convection is None:
-            convection = ConvectionAssembler(vel)
-        for tag, m in convection.matrix(lvec).terms:
-            fterms.append((tag, -(m @ lvec)))
-    if body_force is not None:
-        fterms.append(("one", assemble_body_force(vel, body_force)))
-
-    gterms = [(tag, -(m @ lvec)) for tag, m in divergence.terms]
-    if stab is not None and stab.config.active:
-        if stab.suq is not None:
-            for tag, m in stab.suq.terms:
-                gterms.append((tag, m @ lvec))
-        if body_force is not None and stab.config.method != "EdgeJumpP1P0":
-            gterms.append(("one", assemble_stab_body_force(
-                prs, body_force, stab.config.delta)))
-    return AffineOperator(fterms), AffineOperator(gterms)
+# dumps
 
 
 def dump_affine_operator(op: AffineOperator, directory, name: str) -> list[str]:

@@ -239,15 +239,8 @@ def cmd_fe_solve(rc: RunConfig, args) -> int:
     sol = system.solve(mu)
     out = _out_dir(args)
     if args.dump_operators:
-        dump_affine_operator(system.viscous, out, "visc")
-        dump_affine_operator(system.divergence, out, "b")
-        if system.stab is not None:
-            if system.stab.suq is not None:
-                dump_affine_operator(system.stab.suq, out, "suq")
-            dump_affine_operator(system.stab.spq, out, "spq")
-            if system.stab.suv is not None:
-                dump_affine_operator(system.stab.suv, out, "suv")
-                dump_affine_operator(system.stab.spv, out, "spv")
+        for name, op in system.operators.items():
+            dump_affine_operator(op, out, name)
     diag = sol.diagnostics
     lines = [
         f"mu1 = {fmt17(mu[0])}",

@@ -2,12 +2,15 @@
 
 The saddle-point system is solved in homogeneous-Dirichlet unknowns
 (lid data enters through a lifting field), with a single scalar
-Lagrange multiplier enforcing the zero-mean pressure gauge.  The
-stabilized blocks enter with minus signs:
-
-    [[A - Suv, B^T - Spv, 0 ],
-     [B - Suq, -Spq,      m ],
-     [0,       m^T,       0 ]].
+Lagrange multiplier enforcing the zero-mean pressure gauge.  Its linear
+blocks are listed once, in ``SADDLE_BLOCKS``: row space, column space,
+sign and whether the block is a Galerkin or a stabilization term.  Every
+full-order quantity is read from that table: the residual is one loop of
+mat-vecs over it (plus convection, SUPG transport and body forces), the
+lifting right-hand side is the linear part of that loop at the zero
+homogeneous state, and the Stokes matrix and the Newton Jacobian are
+bordered matrices built from it.  The reduced model projects the same
+table (``rb``).
 
 Navier-Stokes is solved by a full Newton iteration on the total
 velocity field; the Jacobian differentiates the convective term and the
@@ -17,11 +20,13 @@ streamline-derivative stabilization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
 
 from .assembly import (
+    AffineOperator,
     ConvectionAssembler,
     GeometryMap,
     StabilizationConfig,
@@ -31,7 +36,6 @@ from .assembly import (
     assemble_gram,
     assemble_mean_vector,
     assemble_ns_stabilization,
-    assemble_rhs,
     assemble_stab_body_force,
     assemble_stokes_stabilization,
     assemble_viscous,
@@ -48,6 +52,38 @@ PROBLEMS = ("stokes", "navier_stokes")
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
+
+
+class SaddleBlock(NamedTuple):
+    """One linear block of the saddle system.
+
+    ``name`` is the operator (a key of ``FlowSystem.operators`` and the
+    ``ReducedModel`` field of its projection); ``rows`` and ``cols`` are
+    its spaces, "v" velocity and "p" pressure.  A ``transposed`` block
+    is the named operator's transpose.  ``stab`` marks a stabilization
+    term: online options iii/iv drop it, in the matrix and in the lifting
+    right-hand side alike.
+    """
+
+    name: str
+    rows: str
+    cols: str
+    sign: float
+    stab: bool
+    transposed: bool = False
+
+
+# [[A - Suv, B^T - Spv], [B - Suq, -Spq]]: the one place that knows the
+# signs and the Galerkin/stabilization split of the linear blocks
+SADDLE_BLOCKS = (
+    SaddleBlock("visc", "v", "v", 1.0, False),
+    SaddleBlock("b", "p", "v", 1.0, False),
+    SaddleBlock("b", "v", "p", 1.0, False, transposed=True),
+    SaddleBlock("suq", "p", "v", -1.0, True),
+    SaddleBlock("spq", "p", "p", -1.0, True),
+    SaddleBlock("suv", "v", "v", -1.0, True),
+    SaddleBlock("spv", "v", "p", -1.0, True),
+)
 
 
 @dataclass
@@ -99,10 +135,6 @@ class ProblemConfig:
     def geometry(self) -> GeometryMap:
         return GeometryMap(self.mu_bar2, self.viscosity_mode)
 
-    def in_box(self, mu) -> bool:
-        return (self.mu1_range[0] <= mu[0] <= self.mu1_range[1]
-                and self.mu2_range[0] <= mu[1] <= self.mu2_range[1])
-
 
 @dataclass
 class FeSolution:
@@ -129,9 +161,10 @@ class FlowSystem:
     """Spaces, affine operators and solvers for one problem setup.
 
     Everything parameter-independent (element tables, affine matrix
-    terms, Gram matrices, lifting right-hand sides) is assembled once;
-    per-parameter work is limited to weighted sums, boundary
-    restriction and the linear solves.
+    terms, Gram matrices, body forces) is assembled once; per-parameter
+    work is limited to weighted sums, boundary restriction and the
+    linear solves.  ``operators`` holds the affine operator of every
+    ``SADDLE_BLOCKS`` name the configuration has.
     """
 
     def __init__(self, config: ProblemConfig, nx: int, ny: int,
@@ -148,7 +181,6 @@ class FlowSystem:
         self.geometry = config.geometry()
         self.lifting = (lifting if lifting is not None
                         else interpolate_lifting(self.velocity_space))
-        self.body_force = body_force
 
         self.viscous = assemble_viscous(self.velocity_space, self.geometry)
         self.divergence = assemble_divergence(self.velocity_space,
@@ -166,22 +198,22 @@ class FlowSystem:
                     config.stabilization)
         self.convection = (ConvectionAssembler(self.velocity_space)
                            if config.problem == "navier_stokes" else None)
+        self.operators = {"visc": self.viscous, "b": self.divergence}
+        for blk in SADDLE_BLOCKS:
+            op = getattr(self.stab, blk.name, None)
+            if op is not None:
+                self.operators[blk.name] = op
 
-        # linear lifting terms only: the Navier-Stokes solvers carry
-        # c(l, l, .) themselves, and the continuity right-hand side has no
-        # convective term
-        self.fbar_linear, self.gbar = assemble_rhs(
-            self.velocity_space, self.pressure_space, self.geometry,
-            self.lifting, viscous=self.viscous, divergence=self.divergence,
-            stab=self.stab, body_force=body_force)
-
-        self.body_vec = (assemble_body_force(self.velocity_space, body_force)
-                         if body_force is not None else None)
-        self.stab_body_vec = None
-        if (body_force is not None and self.stab is not None
-                and config.stabilization.method != "EdgeJumpP1P0"):
-            self.stab_body_vec = assemble_stab_body_force(
-                self.pressure_space, body_force, config.stabilization.delta)
+        # (row space, stabilization flag, vector) of each body-force term
+        self.body_terms = []
+        if body_force is not None:
+            self.body_terms.append(("v", False, assemble_body_force(
+                self.velocity_space, body_force)))
+            if (self.stab is not None
+                    and config.stabilization.method != "EdgeJumpP1P0"):
+                self.body_terms.append(("p", True, assemble_stab_body_force(
+                    self.pressure_space, body_force,
+                    config.stabilization.delta)))
 
         self.gram_velocity = assemble_gram(self.velocity_space, "h1semi")
         self.gram_pressure = assemble_gram(self.pressure_space, "l2")
@@ -190,55 +222,94 @@ class FlowSystem:
         self.n_free = self.free.size
         self.n_pressure = self.pressure_space.dof_count
 
-    # -- block systems ------------------------------------------------
+    # -- the saddle table ---------------------------------------------
 
-    def _stab_blocks(self, mu) -> dict:
-        out = {}
-        if self.stab is None:
-            return out
+    def _linear_terms(self, state: dict):
+        """The linear part of the residual at ``state``, term by term.
+
+        ``state`` maps "v" to a total velocity and "p" to a pressure; a
+        space left out is zero.  Yields (row space, stabilization flag,
+        theta tag, sign, vector): M_q x for every term of every
+        SADDLE_BLOCKS entry, then the body forces (sign -1, no column).
+        """
+        for name, rows, cols, sign, stab, transposed in SADDLE_BLOCKS:
+            op = self.operators.get(name)
+            if op is None or cols not in state:
+                continue
+            x = state[cols]
+            for tag, m in op:
+                yield rows, stab, tag, sign, (m.T if transposed else m) @ x
+        for rows, stab, vec in self.body_terms:
+            yield rows, stab, "one", -1.0, vec
+
+    def _linear_residual(self, mu, state: dict) -> dict:
+        """sum sign theta_q(mu) M_q x over ``_linear_terms``, by row space
+        (every velocity dof, every pressure dof)."""
         g = self.geometry
-        if self.stab.suq is not None:
-            out["suq"] = self.stab.suq.evaluate(g, mu)
-        out["spq"] = self.stab.spq.evaluate(g, mu)
-        if self.stab.suv is not None:
-            out["suv"] = self.stab.suv.evaluate(g, mu)
-            out["spv"] = self.stab.spv.evaluate(g, mu)
+        out = {"v": np.zeros(self.velocity_space.dof_count),
+               "p": np.zeros(self.n_pressure)}
+        for rows, _, tag, sign, vec in self._linear_terms(state):
+            out[rows] += (sign * g.theta(tag, mu)) * vec
         return out
 
-    def _saddle_matrix(self, mu, a_extra=None, b_extra=None):
-        """Assemble the bordered block matrix at mu.
+    def lifting_rhs(self) -> dict:
+        """The lifting right-hand sides as affine vectors.
 
-        a_extra / b_extra are sparse corrections added to the momentum
-        block and the continuity-row velocity block (Newton terms).
+        Minus the linear residual at the zero homogeneous state (total
+        velocity the lifting, zero pressure), body forces included: one
+        AffineOperator over every velocity or every pressure dof per
+        (row space, stabilization flag) that has a term.
         """
+        groups: dict[tuple, list] = {}
+        for rows, stab, tag, sign, vec in self._linear_terms(
+                {"v": self.lifting.values}):
+            groups.setdefault((rows, stab), []).append((tag, -sign * vec))
+        return {key: AffineOperator(terms) for key, terms in groups.items()}
+
+    def _saddle_matrix(self, mu, u_total: np.ndarray | None = None):
+        """The bordered SADDLE_BLOCKS matrix at mu on the free velocity
+        dofs, with the mean constraint; given a total velocity, the
+        Newton Jacobian there (plus the convection and SUPG transport
+        derivatives)."""
         g = self.geometry
-        a_mu = self.viscous.evaluate(g, mu)
-        b_mu = self.divergence.evaluate(g, mu)
-        sb = self._stab_blocks(mu)
-        if "suv" in sb:
-            a_mu = a_mu - sb["suv"]
-        if a_extra is not None:
-            a_mu = a_mu + a_extra
-        bt = b_mu.T.tocsr()
-        if "spv" in sb:
-            bt = bt - sb["spv"]
-        btilde = b_mu
-        if "suq" in sb:
-            btilde = btilde - sb["suq"]
-        if b_extra is not None:
-            btilde = btilde - b_extra
-        fr = self.free
-        a_ff = a_mu[fr][:, fr]
-        bt_f = bt[fr]
-        btilde_f = btilde[:, fr]
-        s_blk = -sb["spq"] if "spq" in sb else None
-        m_col = scipy.sparse.csr_matrix(
-            self.mean_vector.reshape(-1, 1))
-        m_row = scipy.sparse.csr_matrix(self.mean_vector.reshape(1, -1))
+        values: dict[str, scipy.sparse.spmatrix] = {}
+        blocks: dict[tuple, scipy.sparse.spmatrix] = {}
+
+        def add(key, m, sign=1.0):
+            if key not in blocks:
+                blocks[key] = m if sign > 0 else -m
+            else:
+                blocks[key] = blocks[key] + m if sign > 0 \
+                    else blocks[key] - m
+
+        for name, rows, cols, sign, _, transposed in SADDLE_BLOCKS:
+            op = self.operators.get(name)
+            if op is None:
+                continue
+            if name not in values:
+                values[name] = op.evaluate(g, mu)
+            m = values[name].T.tocsr() if transposed else values[name]
+            add((rows, cols), m, sign)
+        if u_total is not None:
+            add(("v", "v"), self.convection.matrix(u_total).evaluate(g, mu)
+                + self.convection.transport_jacobian(u_total).evaluate(g, mu))
+            if self.stab is not None and self.stab.supg is not None:
+                add(("p", "v"), self.stab.supg.transport(u_total)
+                    + self.stab.supg.jacobian(u_total), -1.0)
+
+        def cut(rows, cols):
+            m = blocks.get((rows, cols))
+            if m is not None and rows == "v":
+                m = m[self.free]
+            if m is not None and cols == "v":
+                m = m[:, self.free]
+            return m
+
+        m_col = scipy.sparse.csr_matrix(self.mean_vector.reshape(-1, 1))
         return scipy.sparse.bmat(
-            [[a_ff, bt_f, None],
-             [btilde_f, s_blk, m_col],
-             [None, m_row, None]], format="csc")
+            [[cut("v", "v"), cut("v", "p"), None],
+             [cut("p", "v"), cut("p", "p"), m_col],
+             [None, m_col.T, None]], format="csc")
 
     def _split(self, x: np.ndarray):
         nf, npr = self.n_free, self.n_pressure
@@ -258,37 +329,24 @@ class FlowSystem:
                  lam: float = 0.0) -> np.ndarray:
         """Nonlinear algebraic residual at a homogeneous-velocity state.
 
-        Stacks the free momentum rows, the (stabilized) continuity rows
-        and the mean constraint; this is the quantity Newton drives to
-        zero and the one the greedy error indicator measures.
+        The SADDLE_BLOCKS mat-vecs on the total state [u + l | p], plus
+        convection, SUPG transport and body forces; stacks the free
+        momentum rows, the (stabilized) continuity rows and the mean
+        constraint.  This is the quantity Newton drives to zero and the
+        one the greedy error indicator measures.
         """
         g = self.geometry
         u_t = u_homog + self.lifting.values
-        a_mu = self.viscous.evaluate(g, mu)
-        b_mu = self.divergence.evaluate(g, mu)
-        sb = self._stab_blocks(mu)
-
-        r_mom = a_mu @ u_t + b_mu.T @ p
+        r = self._linear_residual(mu, {"v": u_t, "p": p})
+        r_mom, r_cont = r["v"], r["p"]
         if self.convection is not None:
-            r_mom += self.convection.matrix(u_t).evaluate(g, mu) @ u_t
-        if "suv" in sb:
-            r_mom -= sb["suv"] @ u_t
-            r_mom -= sb["spv"] @ p
-        if self.body_vec is not None:
-            r_mom -= self.body_vec
-
-        r_cont = b_mu @ u_t + lam * self.mean_vector
-        if "suq" in sb:
-            r_cont -= sb["suq"] @ u_t
-        if "spq" in sb:
-            r_cont -= sb["spq"] @ p
+            for tag, m in self.convection.matrix(u_t):
+                r_mom += g.theta(tag, mu) * (m @ u_t)
         if self.stab is not None and self.stab.supg is not None:
             r_cont -= self.stab.supg.transport(u_t) @ u_t
-        if self.stab_body_vec is not None:
-            r_cont -= self.stab_body_vec
-
-        r_mean = self.mean_vector @ p
-        return np.concatenate([r_mom[self.free], r_cont, [r_mean]])
+        r_cont += lam * self.mean_vector
+        return np.concatenate([r_mom[self.free], r_cont,
+                               [self.mean_vector @ p]])
 
     def residual_reference(self, mu) -> float:
         """Residual norm of the zero homogeneous state (RHS scale)."""
@@ -299,12 +357,14 @@ class FlowSystem:
     # -- solvers ------------------------------------------------------
 
     def solve_stokes(self, mu) -> FeSolution:
-        """Linear saddle solve (the Stokes operator under config's nu rule)."""
-        g = self.geometry
+        """Linear saddle solve (the Stokes operator under config's nu rule).
+
+        The right-hand side is minus the linear residual of the zero
+        homogeneous state.
+        """
         k = self._saddle_matrix(mu)
-        fvec = self.fbar_linear.evaluate(g, mu)
-        gvec = self.gbar.evaluate(g, mu)
-        rhs = np.concatenate([fvec[self.free], gvec, [0.0]])
+        r0 = self._linear_residual(mu, {"v": self.lifting.values})
+        rhs = np.concatenate([-r0["v"][self.free], -r0["p"], [0.0]])
         lu = SparseLU(k, context=f"stokes solve at mu={tuple(mu)}")
         x = lu.solve(rhs)
         u_full, p, lam = self._split(x)
@@ -321,7 +381,6 @@ class FlowSystem:
         """Full Newton on the stabilized nonlinear system."""
         if self.config.problem != "navier_stokes":
             raise ValueError("configured problem is not Navier-Stokes")
-        g = self.geometry
         if initial_guess is None:
             initial_guess = self.solve_stokes(mu)
         u_full = initial_guess.velocity.values.copy()
@@ -342,14 +401,7 @@ class FlowSystem:
                     f"Newton stalled after {iterations} iterations at "
                     f"mu={tuple(mu)} (residual {rn:.3e}, target "
                     f"{tol * ref:.3e})", history)
-            u_t = u_full + self.lifting.values
-            a_extra = self.convection.matrix(u_t).evaluate(g, mu) \
-                + self.convection.transport_jacobian(u_t).evaluate(g, mu)
-            b_extra = None
-            if self.stab is not None and self.stab.supg is not None:
-                b_extra = self.stab.supg.transport(u_t) \
-                    + self.stab.supg.jacobian(u_t)
-            k = self._saddle_matrix(mu, a_extra=a_extra, b_extra=b_extra)
+            k = self._saddle_matrix(mu, u_full + self.lifting.values)
             lu = SparseLU(
                 k, context=f"newton step {iterations} at mu={tuple(mu)}")
             rconds.append(lu.rcond)

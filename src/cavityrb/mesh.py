@@ -8,21 +8,10 @@ and the interior-edge connectivity needed by jump stabilization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 LID = "Lid"
 WALL = "Wall"
-
-
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Geometry of one triangle: area, diameter and barycentric gradients."""
-
-    area: float
-    h_K: float
-    grad_bary: np.ndarray  # (3, 2), rows are the gradients of lambda_1..3
 
 
 class Mesh:
@@ -120,9 +109,6 @@ class Mesh:
             tags.append(boundary_tags[key])
         self.boundary_edge_tags = tags
 
-    def total_area(self) -> float:
-        return float(self.areas.sum())
-
 
 def build_rect_mesh(length: float, height: float, nx: int, ny: int) -> Mesh:
     """Build a structured triangulation of (0, length) x (0, height).
@@ -169,12 +155,3 @@ def build_rect_mesh(length: float, height: float, nx: int, ny: int) -> Mesh:
         tags[tuple(sorted((vid(nx, j), vid(nx, j + 1))))] = WALL
 
     return Mesh(vertices, tris, tags, length, height)
-
-
-def element_geometry(mesh: Mesh, k: int) -> ElementGeometry:
-    """Return area, diameter and barycentric gradients of triangle ``k``."""
-    if not 0 <= k < mesh.n_triangles:
-        raise IndexError(f"triangle index {k} out of range [0, {mesh.n_triangles})")
-    return ElementGeometry(area=float(mesh.areas[k]),
-                           h_K=float(mesh.element_diameters[k]),
-                           grad_bary=mesh.grad_bary[k].copy())

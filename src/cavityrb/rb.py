@@ -7,14 +7,18 @@ affine operators (plus the dense convective and streamline-derivative
 tensors for Navier-Stokes).
 
 Online: one dense solve under four formulations,
-    (i)   enriched velocity space, stabilization blocks kept,
-    (ii)  plain velocity space, stabilization blocks kept,
+    (i)   enriched velocity space, stabilization terms kept,
+    (ii)  plain velocity space, stabilization terms kept,
     (iii) enriched velocity space, stabilization dropped online,
     (iv)  plain velocity space, stabilization dropped online.
-Only the enriched model is built.  Its projected blocks are stacked into
-one affine saddle operator with the unknowns ordered [u | p | s], so an
-option is a leading size of that system plus a choice of keeping its
-stabilization terms, and one Newton solve serves Stokes and
+Only the enriched model is built.  It projects the full-order saddle
+table (``hifi.SADDLE_BLOCKS``) block by block, and the lifting
+right-hand side, the full-order residual at the zero homogeneous state,
+into one vector per row space and Galerkin/stabilization flag.  These
+are stacked into one affine saddle operator with the unknowns ordered
+[u | p | s], so an option is a leading size of that system plus a choice
+of keeping its stabilization terms; options iii/iv drop every one of
+them, right-hand sides included.  One Newton solve serves Stokes and
 Navier-Stokes.  Truncating to the first greedy snapshots is a change of
 basis in reduced coordinates.
 """
@@ -30,7 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import AffineOperator, GeometryMap
-from .hifi import FeSolution, FlowSystem
+from .hifi import SADDLE_BLOCKS, FeSolution, FlowSystem
 from .fespace import FeFunction
 from .linalg import (SparseLU, dense_lu_solve, modified_gram_schmidt,
                      smallest_gsv)
@@ -94,35 +98,37 @@ class GreedyTrace:
     seed: int
 
 
+# The reduced lifting right-hand side of each (row space, stabilization
+# flag) of ``FlowSystem.lifting_rhs``; each enters F with sign +1.
+_LIFTING_RHS = {("v", False): "fvisc", ("v", True): "fstab",
+                ("p", False): "gplain", ("p", True): "gstab"}
+
+# The Navier-Stokes terms outside the linear table, in
+# r(x) = K x + N(x, x) - F: name, sign, stabilization flag.  The rank of
+# their axes tells vectors (F), matrices (K) and tensors (N) apart; the
+# arrays without theta (the SUPG tensors) take "one".
+_NS_TERMS = (
+    ("dconv", 1.0, False), ("tln", -1.0, True), ("tzln", -1.0, True),
+    ("fconv", 1.0, False), ("tll", 1.0, True),
+    ("conv", 1.0, False), ("tn", -1.0, True),
+)
+
 # Bases of every reduced array, one entry per axis: "v" the reduced
 # velocity (velocity then supremizer columns), "p" the reduced pressure,
 # "n" the greedy snapshots, None a full-order or fixed axis.  The table
 # drives truncation, the saddle operator and the .rbm format.
 _AXES = {
     "z_v": (None, "v"), "z_p": (None, "p"), "lifting": (None,),
-    "visc": ("v", "v"), "b": ("p", "v"), "suq": ("p", "v"),
-    "spq": ("p", "p"), "suv": ("v", "v"), "spv": ("v", "p"),
-    "fvisc": ("v",), "fconv": ("v",), "gplain": ("p",), "gstab": ("p",),
-    "dconv": ("v", "v"), "conv": ("v", "v", "v"),
+    **{blk.name: (blk.rows, blk.cols) for blk in SADDLE_BLOCKS
+       if not blk.transposed},
+    **{name: (rows,) for (rows, _), name in _LIFTING_RHS.items()},
+    "fconv": ("v",), "dconv": ("v", "v"), "conv": ("v", "v", "v"),
     "tn": ("p", "v", "v"), "tln": ("p", "v"), "tzln": ("p", "v"),
     "tll": ("p",), "xu": ("v", "v"), "xp": ("p", "p"),
     "mus": ("n", None), "indicators": ("n",), "sizes": ("n", None),
     "u_snaps": (None, "n"), "p_snaps": (None, "n"),
     "sup_coords": ("v", "n"),
 }
-
-# How the named blocks enter r(x) = K x + N(x, x) - F, by the rank of
-# their axes (vectors F, matrices K, tensors N): sign and whether the
-# term is a stabilization term.  b also enters K transposed, in the
-# velocity rows; the arrays without theta (the SUPG tensors) take "one".
-_SADDLE_TERMS = (
-    ("visc", 1.0, False), ("dconv", 1.0, False), ("b", 1.0, False),
-    ("suv", -1.0, True), ("spv", -1.0, True), ("suq", -1.0, True),
-    ("spq", -1.0, True), ("tln", -1.0, True), ("tzln", -1.0, True),
-    ("fvisc", 1.0, False), ("fconv", 1.0, False), ("gplain", 1.0, False),
-    ("gstab", 1.0, True), ("tll", 1.0, True),
-    ("conv", 1.0, False), ("tn", -1.0, True),
-)
 
 
 def _stack(parts: list, shape: tuple):
@@ -148,10 +154,13 @@ class SaddleOperator:
     """The reduced system r(x) = K(mu) x + N(mu)(x, x) - F(mu).
 
     Unknowns are ordered [u | p | s], so the plain-space options solve
-    the leading n_u + n_p block.  K, F and N are each a stack of terms,
-    one per (theta tag, stabilization flag) pair, evaluated by one
-    contraction with the theta weights; an option that drops the
-    stabilization weighs its terms with zero.  N holds the convection
+    the leading n_u + n_p block.  K is placed from ``SADDLE_BLOCKS``, F
+    from ``_LIFTING_RHS`` and the Navier-Stokes pieces from ``_NS_TERMS``,
+    signs and Galerkin/stabilization flags included.  K, F and N are each
+    a stack of terms, one per (theta tag, stabilization flag) pair,
+    evaluated by one contraction with the theta weights; an option that
+    drops the stabilization weighs its terms with zero, in K, F and N
+    alike.  N holds the convection
     tensor in the velocity rows and minus the SUPG transport tensor in
     the pressure rows, symmetrized in its two input axes so that
     N(x, x) = (N x) x and the Jacobian is K + 2 N x; it is None for
@@ -163,20 +172,24 @@ class SaddleOperator:
         size = model.z_v.shape[1] + n_p
         at = {"v": np.r_[0:n_u, n_u + n_p:size],
               "p": np.arange(n_u, n_u + n_p)}
+        # (name, placement axes, sign, stabilization flag, transposed)
+        entries = [(blk.name, (blk.rows, blk.cols), blk.sign, blk.stab,
+                    blk.transposed) for blk in SADDLE_BLOCKS]
+        entries += [(name, (rows,), 1.0, stab, False)
+                    for (rows, stab), name in _LIFTING_RHS.items()]
+        entries += [(name, _AXES[name], sign, stab, False)
+                    for name, sign, stab in _NS_TERMS]
         parts: dict[int, list] = {1: [], 2: [], 3: []}
-        for name, sign, stab in _SADDLE_TERMS:
+        for name, axes, sign, stab, transposed in entries:
             value = getattr(model, name)
             if value is None:
                 continue
-            axes = _AXES[name]
             terms = value if isinstance(value, AffineOperator) \
                 else [("one", value)]
             for tag, m in terms:
                 parts[len(axes)].append(
-                    (tag, stab, np.ix_(*(at[k] for k in axes)), sign * m))
-                if name == "b":
-                    parts[2].append(
-                        (tag, stab, np.ix_(at["v"], at["p"]), m.T))
+                    (tag, stab, np.ix_(*(at[k] for k in axes)),
+                     sign * (m.T if transposed else m)))
         self.size = size
         self.f, self.k, self.n = (_stack(parts[r], (size,) * r)
                                   for r in (1, 2, 3))
@@ -206,7 +219,9 @@ class ReducedModel:
 
     ``z_v`` holds the velocity basis (its first ``n_u`` columns) and
     then the supremizer basis; ``_AXES`` names the bases of every array,
-    and the parameter-dependent blocks are AffineOperators.  ``sizes``
+    and the parameter-dependent blocks are AffineOperators: one per
+    ``SADDLE_BLOCKS`` operator and one lifting right-hand side per row
+    space and stabilization flag (``_LIFTING_RHS``).  ``sizes``
     holds (n_u, n_p) after each greedy step and ``sup_coords`` the raw
     supremizers in the coordinates of ``z_v``, which is all a truncation
     needs.  The named blocks are the stored form; ``saddle`` is derived
@@ -238,6 +253,7 @@ class ReducedModel:
     suv: AffineOperator | None
     spv: AffineOperator | None
     fvisc: AffineOperator
+    fstab: AffineOperator | None
     fconv: AffineOperator | None
     gplain: AffineOperator
     gstab: AffineOperator | None
@@ -404,67 +420,45 @@ def build_reduced_model(system: FlowSystem, mus: np.ndarray,
     lvec = system.lifting.values
     steps = np.arange(n)
 
-    def lifted(op, sign=1.0):
-        return AffineOperator([(tag, sign * (m @ lvec))
-                               for tag, m in op.terms])
+    basis = {"v": zv, "p": z_p}
+    arrays = dict.fromkeys(_AXES)
+    for blk in SADDLE_BLOCKS:
+        if not blk.transposed and blk.name in system.operators:
+            arrays[blk.name] = system.operators[blk.name].project(
+                basis[blk.rows], basis[blk.cols])
+    for (rows, stab), rhs in system.lifting_rhs().items():
+        arrays[_LIFTING_RHS[rows, stab]] = rhs.project_vector(basis[rows])
 
-    suq = spq = suv = spv = gstab = None
-    stab = system.stab
-    if stab is not None:
-        gterms = []
-        if stab.suq is not None:
-            suq = stab.suq.project(z_p, zv)
-            gterms += lifted(stab.suq).terms
-        spq = stab.spq.project(z_p, z_p)
-        if stab.suv is not None:
-            suv = stab.suv.project(zv, zv)
-            spv = stab.spv.project(zv, z_p)
-        if system.stab_body_vec is not None:
-            gterms.append(("one", system.stab_body_vec))
-        if gterms:
-            gstab = AffineOperator(gterms).project_vector(z_p)
-
-    fconv = dconv = conv = None
-    tn = tln = tzln = tll = None
     if system.convection is not None:
         cl = system.convection.matrix(lvec)
         dl = system.convection.transport_jacobian(lvec)
-        fconv = lifted(cl, -1.0).project_vector(zv)
-        dconv = AffineOperator([(tag, m1 + m2) for (tag, m1), (_, m2)
-                                in zip(cl.terms, dl.terms)]).project(zv, zv)
+        arrays["fconv"] = AffineOperator(
+            [(tag, -(m @ lvec)) for tag, m in cl]).project_vector(zv)
+        arrays["dconv"] = AffineOperator(
+            [(tag, m1 + m2) for (tag, m1), (_, m2)
+             in zip(cl.terms, dl.terms)]).project(zv, zv)
         tensors = np.empty((len(cl.terms), nv, nv, nv))
         for j in range(nv):
             cj = system.convection.matrix(zv[:, j]).project(zv, zv)
             for e, (_, m) in enumerate(cj.terms):
                 tensors[e][:, j, :] = m
-        conv = AffineOperator([(tag, t) for (tag, _), t
-                               in zip(cl.terms, tensors)])
-        if stab is not None and stab.supg is not None:
-            supg = stab.supg
+        arrays["conv"] = AffineOperator([(tag, t) for (tag, _), t
+                                         in zip(cl.terms, tensors)])
+        if system.stab is not None and system.stab.supg is not None:
+            supg = system.stab.supg
             tl = supg.transport(lvec)
-            tll = np.asarray(z_p.T @ (tl @ lvec))
-            tln = np.asarray(z_p.T @ (tl @ zv))
+            arrays["tll"] = np.asarray(z_p.T @ (tl @ lvec))
+            arrays["tln"] = np.asarray(z_p.T @ (tl @ zv))
             tn = np.empty((z_p.shape[1], nv, nv))
             tzln = np.empty((z_p.shape[1], nv))
             for j in range(nv):
                 tj = supg.transport(zv[:, j])
                 tn[:, j, :] = z_p.T @ (tj @ zv)
                 tzln[:, j] = z_p.T @ (tj @ lvec)
+            arrays["tn"], arrays["tzln"] = tn, tzln
 
-    return ReducedModel(
-        problem=cfg.problem, fe_pair=cfg.fe_pair,
-        method=cfg.stabilization.method, delta=cfg.stabilization.delta,
-        rho=cfg.stabilization.rho, option="i", mu_bar2=cfg.mu_bar2,
-        mu1_range=tuple(cfg.mu1_range), mu2_range=tuple(cfg.mu2_range),
-        seed=seed, nx=system.mesh_nx, ny=system.mesh_ny, n_u=z_u.shape[1],
+    arrays.update(
         z_v=zv, z_p=z_p, lifting=lvec.copy(),
-        visc=system.viscous.project(zv, zv),
-        b=system.divergence.project(z_p, zv),
-        suq=suq, spq=spq, suv=suv, spv=spv,
-        fvisc=system.fbar_linear.project_vector(zv), fconv=fconv,
-        gplain=lifted(system.divergence, -1.0).project_vector(z_p),
-        gstab=gstab, dconv=dconv, conv=conv,
-        tn=tn, tln=tln, tzln=tzln, tll=tll,
         xu=np.asarray(zv.T @ (xu_full @ zv)),
         xp=np.asarray(z_p.T @ (xp_full @ z_p)),
         mus=np.asarray(mus, dtype=float).reshape(n, 2),
@@ -473,6 +467,13 @@ def build_reduced_model(system: FlowSystem, mus: np.ndarray,
                                np.searchsorted(kept_p, steps, "right")]),
         u_snaps=u_snaps.copy(), p_snaps=p_snaps.copy(),
         sup_coords=np.asarray(zv.T @ (xu_full @ sup_raw)))
+    return ReducedModel(
+        problem=cfg.problem, fe_pair=cfg.fe_pair,
+        method=cfg.stabilization.method, delta=cfg.stabilization.delta,
+        rho=cfg.stabilization.rho, option="i", mu_bar2=cfg.mu_bar2,
+        mu1_range=tuple(cfg.mu1_range), mu2_range=tuple(cfg.mu2_range),
+        seed=seed, nx=system.mesh_nx, ny=system.mesh_ny, n_u=z_u.shape[1],
+        **arrays)
 
 
 def with_option(model: ReducedModel, option: str) -> ReducedModel:
@@ -715,7 +716,7 @@ def modified_infsup(model: ReducedModel, mu) -> float:
 # serialization
 
 
-_RBM_FORMAT = "cavityrb-rbm-3"
+_RBM_FORMAT = "cavityrb-rbm-4"
 
 # header fields: every ReducedModel field that is not an array
 _HEADER = tuple(f for f in dataclasses.fields(ReducedModel)
@@ -803,8 +804,9 @@ def load_model(path):
         raise ValueError("model file lacks the arrays count")
     if header.get("format") != _RBM_FORMAT:
         # earlier formats carry stabilization terms projected from other
-        # operators (cavityrb-rbm-1: reference-domain residual blocks) or
-        # the full-order supremizers (cavityrb-rbm-2)
+        # operators (cavityrb-rbm-1: reference-domain residual blocks),
+        # the full-order supremizers (cavityrb-rbm-2) or the momentum-row
+        # stabilization lifting inside the Galerkin fvisc (cavityrb-rbm-3)
         raise ValueError(f"unsupported model format "
                          f"{header.get('format')!r}; expected {_RBM_FORMAT}")
     for _ in range(n_arrays):

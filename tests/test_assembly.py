@@ -10,12 +10,14 @@ from cavityrb.assembly import (AffineOperator, ConvectionAssembler,
                                GeometryMap, StabilizationConfig,
                                SupgAssembler, assemble_divergence,
                                assemble_gram, assemble_mean_vector,
-                               assemble_ns_stabilization, assemble_rhs,
+                               assemble_ns_stabilization,
                                assemble_stab_body_force,
                                assemble_stokes_stabilization,
                                assemble_viscous, dump_affine_operator,
                                vector_expand)
-from cavityrb.fespace import interpolate, interpolate_lifting, make_space
+from cavityrb.fespace import (interpolate, interpolate_lifting, make_space,
+                              zero_function)
+from cavityrb.hifi import PAIRS, FlowSystem, ProblemConfig
 from cavityrb.mesh import WALL, Mesh, build_rect_mesh
 
 MU = (0.6, 2.0)          # a = 1.5, nu = 0.6 with mu_bar2 = 1
@@ -320,6 +322,8 @@ def test_stabilization_config_validation():
     with pytest.raises(ValueError):
         StabilizationConfig("SUPGFamily", 1.0, rho=1.0)
     with pytest.raises(ValueError):
+        StabilizationConfig("BrezziPitkaranta", 0.1, rho=1.0)
+    with pytest.raises(ValueError):
         StabilizationConfig("ResidualBased", 0.1, rho=0.5)
     assert not StabilizationConfig().active
     assert not StabilizationConfig("BrezziPitkaranta", 0.0).active
@@ -344,7 +348,8 @@ def test_pressure_laplacian_local_matrix():
                            [-0.5, 0.0, 0.5]])
     at_ref = stab.spq.evaluate(geom, (1.0, 1.0)).toarray()
     assert np.allclose(at_ref, want, atol=1e-14)
-    assert stab.suv is None and stab.spv is None
+    # the pressure Laplacian is the whole method
+    assert stab.suq is None and stab.suv is None and stab.spv is None
     # mapped: q = x_hat is physical x/a, q = y_hat is y; with dx = a dx_hat
     # and the weight h^2 diag(a^2, 1) (h^2 = 2, area 1/2) both give
     # delta * a, so the operator is a times the reference one
@@ -533,71 +538,79 @@ def test_ns_stabilization_wrapper():
                                      StabilizationConfig("SUPGFamily", 1.0))
     assert stab.supg is not None
     assert stab.spq is not None and stab.suq is not None
-    # freezing the transport at w appends one extra affine term
-    w = interpolate(vel, lambda x, y: (y, 0.0))
-    frozen = assemble_ns_stabilization(vel, prs, GeometryMap(),
-                                       StabilizationConfig("SUPGFamily", 1.0),
-                                       w=w)
-    assert len(frozen.suq.terms) == len(stab.suq.terms) + 1
-    extra = frozen.suq.terms[-1][1]
-    assert np.abs((extra - stab.supg.transport(w.values))).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 
 
+def _system(problem="stokes", pair="P1P1", method="None", delta=0.0,
+            nx=4, ny=2, lifting_zero=False):
+    cfg = ProblemConfig(problem, pair, StabilizationConfig(method, delta))
+    mesh = build_rect_mesh(2.0, 1.0, nx, ny)
+    lifting = zero_function(make_space(mesh, PAIRS[pair][0], 2)) \
+        if lifting_zero else None
+    return FlowSystem(cfg, nx, ny, lifting=lifting, mesh=mesh)
+
+
+def _lifting_rhs(system, mu):
+    """The lifting right-hand sides at mu, summed per row space."""
+    rhs = system.lifting_rhs()
+    return [sum(op.evaluate(system.geometry, mu) for (r, _), op
+                in rhs.items() if r == rows) for rows in ("v", "p")]
+
+
 def test_rhs_lifting_identities():
-    vel, prs = spaces(build_rect_mesh(2.0, 1.0, 4, 2))
-    geom = GeometryMap()
-    lift = interpolate_lifting(vel)
-    a_op = assemble_viscous(vel, geom)
-    b_op = assemble_divergence(vel, prs, geom)
-    fbar, gbar = assemble_rhs(vel, prs, geom, lift, problem="stokes")
+    system = _system()
+    geom, lift = system.geometry, system.lifting.values
+    assert set(system.lifting_rhs()) == {("v", False), ("p", False)}
     for mu in [MU, (0.3, 2.7)]:
-        f = fbar.evaluate(geom, mu)
-        assert np.abs(f + a_op.evaluate(geom, mu) @ lift.values).max() < 1e-13
-        g = gbar.evaluate(geom, mu)
-        assert np.abs(g + b_op.evaluate(geom, mu) @ lift.values).max() < 1e-13
+        f, g = _lifting_rhs(system, mu)
+        assert np.abs(f + system.viscous.evaluate(geom, mu) @ lift).max() \
+            < 1e-13
+        assert np.abs(g + system.divergence.evaluate(geom, mu) @ lift).max() \
+            < 1e-13
 
 
 def test_rhs_zero_lifting():
-    from cavityrb.fespace import zero_function
-    vel, prs = spaces(build_rect_mesh(2.0, 1.0, 2, 2))
-    fbar, gbar = assemble_rhs(vel, prs, GeometryMap(), zero_function(vel))
-    assert np.abs(fbar.evaluate(GeometryMap(), MU)).max() == 0.0
-    assert np.abs(gbar.evaluate(GeometryMap(), MU)).max() == 0.0
+    system = _system(nx=2, ny=2, lifting_zero=True)
+    for vec in _lifting_rhs(system, MU):
+        assert np.abs(vec).max() == 0.0
 
 
 def test_rhs_stabilized_continuity_term():
-    vel, prs = spaces(build_rect_mesh(2.0, 1.0, 4, 2), "P2", "P2")
-    geom = GeometryMap()
-    lift = interpolate_lifting(vel)
-    stab = assemble_stokes_stabilization(
-        vel, prs, geom, StabilizationConfig("ResidualBased", 0.05))
-    b_op = assemble_divergence(vel, prs, geom)
-    _, gbar = assemble_rhs(vel, prs, geom, lift, stab=stab)
-    g = gbar.evaluate(geom, MU)
-    want = -b_op.evaluate(geom, MU) @ lift.values \
-        + stab.suq.evaluate(geom, MU) @ lift.values
+    system = _system(pair="P2P2", method="ResidualBased", delta=0.05)
+    geom, lift = system.geometry, system.lifting.values
+    _, g = _lifting_rhs(system, MU)
+    want = -system.divergence.evaluate(geom, MU) @ lift \
+        + system.stab.suq.evaluate(geom, MU) @ lift
     assert np.abs(g - want).max() < 1e-13
+    # the viscous-residual lifting is a stabilization term of its own
+    stab_g = system.lifting_rhs()[("p", True)].evaluate(geom, MU)
+    assert np.abs(stab_g - system.stab.suq.evaluate(geom, MU) @ lift).max() \
+        < 1e-13
 
 
 def test_rhs_navier_stokes_adds_convective_lifting():
-    vel, prs = spaces(build_rect_mesh(2.0, 1.0, 4, 2), "P2", "P2")
-    geom = GeometryMap(viscosity="inverse")
-    lift = interpolate_lifting(vel)
-    conv = ConvectionAssembler(vel)
-    f_st, g_st = assemble_rhs(vel, prs, geom, lift, problem="stokes")
-    f_ns, g_ns = assemble_rhs(vel, prs, geom, lift, problem="navier_stokes",
-                              convection=conv)
-    mu = (150.0, 2.0)
-    extra = f_ns.evaluate(geom, mu) - f_st.evaluate(geom, mu)
-    want = -conv.matrix(lift.values).evaluate(geom, mu) @ lift.values
-    assert np.abs(extra - want).max() < 1e-13
-    # the mass-equation right-hand side carries no convective term
-    assert np.abs(g_ns.evaluate(geom, mu)
-                  - g_st.evaluate(geom, mu)).max() < 1e-14
+    # the residual at the zero homogeneous state is minus the lifting
+    # right-hand side; Navier-Stokes adds c(l, l, v) to it, in the
+    # momentum rows only
+    st = _system(pair="P2P2")
+    ns = _system(problem="navier_stokes", pair="P2P2")
+    zero_u = np.zeros(st.velocity_space.dof_count)
+    zero_p = np.zeros(st.n_pressure)
+    mu_ns, mu_st = (150.0, 2.0), (1.0 / 150.0, 2.0)
+    extra = ns.residual(mu_ns, zero_u, zero_p) \
+        - st.residual(mu_st, zero_u, zero_p)
+    lift = ns.lifting.values
+    want = ns.convection.matrix(lift).evaluate(ns.geometry, mu_ns) @ lift
+    nf = ns.n_free
+    assert np.abs(extra[:nf] - want[ns.free]).max() < 1e-13
+    assert np.abs(extra[nf:]).max() < 1e-14
+    f, g = _lifting_rhs(st, mu_st)
+    r0 = st.residual(mu_st, zero_u, zero_p)
+    assert np.abs(r0 + np.concatenate([f[st.free], g, [0.0]])).max() \
+        < 1e-13
 
 
 def test_stab_body_force_hand_value():

@@ -180,7 +180,7 @@ def test_incomplete_model_exits_2(tmp_path, capsys):
     # the current format line, but no header keys and no arrays
     path = write_config(tmp_path)
     model = tmp_path / "model.rbm"
-    model.write_text("format = cavityrb-rbm-3\narrays = 0\n")
+    model.write_text("format = cavityrb-rbm-4\narrays = 0\n")
     code = main(["online", "--config", path, "--model", str(model)])
     assert code == 2
     err = capsys.readouterr().err
@@ -233,8 +233,6 @@ def test_fe_solve_dump_operators(tmp_path):
                  "--dump-operators"]) == 0
     names = sorted(p for p in os.listdir(out) if p.endswith(".mtx"))
     assert names == ["b_q0_one.mtx", "b_q1_a.mtx", "spq_q0_a.mtx",
-                     "suq_q0_nu.mtx", "suq_q1_nu_times_a_sq.mtx",
-                     "suq_q2_nu_over_a.mtx", "suq_q3_nu_times_a.mtx",
                      "visc_q0_nu_over_a.mtx", "visc_q1_nu_times_a.mtx"]
     m = scipy.io.mmread(out / "visc_q0_nu_over_a.mtx")
     assert m.shape == (90, 90)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cavityrb.mesh import LID, WALL, Mesh, build_rect_mesh, element_geometry
+from cavityrb.mesh import LID, WALL, Mesh, build_rect_mesh
 
 
 def unit_right_triangle() -> Mesh:
@@ -27,7 +27,7 @@ def test_two_cell_counts_and_area():
     assert m.n_vertices == 6
     assert m.n_triangles == 4
     assert m.n_edges == 9
-    assert m.total_area() == pytest.approx(2.0, abs=1e-14)
+    assert m.areas.sum() == pytest.approx(2.0, abs=1e-14)
 
 
 def test_desk_mesh_counts_and_lid_tags():
@@ -43,11 +43,11 @@ def test_desk_mesh_counts_and_lid_tags():
 
 
 def test_element_geometry_unit_triangle():
-    geo = element_geometry(unit_right_triangle(), 0)
-    assert geo.area == pytest.approx(0.5, abs=1e-15)
-    assert geo.h_K == pytest.approx(np.sqrt(2.0), abs=1e-15)
+    m = unit_right_triangle()
+    assert m.areas[0] == pytest.approx(0.5, abs=1e-15)
+    assert m.element_diameters[0] == pytest.approx(np.sqrt(2.0), abs=1e-15)
     expected = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    assert np.allclose(geo.grad_bary, expected, atol=1e-14)
+    assert np.allclose(m.grad_bary[0], expected, atol=1e-14)
 
 
 def test_barycentric_gradients_sum_to_zero():
@@ -55,17 +55,11 @@ def test_barycentric_gradients_sum_to_zero():
     assert np.abs(m.grad_bary.sum(axis=1)).max() < 1e-14
 
 
-def test_element_geometry_index_check():
-    m = build_rect_mesh(1.0, 1.0, 1, 1)
-    with pytest.raises(IndexError):
-        element_geometry(m, 2)
-
-
 @pytest.mark.parametrize("dims", [(2.0, 1.0, 7, 3), (1.3, 2.4, 4, 9)])
 def test_area_partition(dims):
     length, height, nx, ny = dims
     m = build_rect_mesh(length, height, nx, ny)
-    assert m.total_area() == pytest.approx(length * height, rel=1e-12)
+    assert m.areas.sum() == pytest.approx(length * height, rel=1e-12)
 
 
 def test_refinement_halves_max_diameter_exactly():

@@ -7,9 +7,10 @@ import pytest
 
 from cavityrb.assembly import AffineOperator, StabilizationConfig
 from cavityrb.cli import main
-from cavityrb.hifi import FeSolution, FlowSystem, ProblemConfig
+from cavityrb.hifi import SADDLE_BLOCKS, FeSolution, FlowSystem, ProblemConfig
 from cavityrb.linalg import RCOND_TOL
-from cavityrb.rb import (_AXES, OPTIONS, GreedyTrace, SupremizerOperator,
+from cavityrb.rb import (_AXES, _LIFTING_RHS, _NS_TERMS, OPTIONS,
+                         GreedyTrace, ReducedModel, SupremizerOperator,
                          _map_axes, build_reduced_model, fe_indicator,
                          greedy_offline, load_model, modified_infsup,
                          plain_infsup, reconstruct, save_model,
@@ -28,6 +29,15 @@ def stokes_rb():
                         StabilizationConfig("BrezziPitkaranta", 0.05))
     system = FlowSystem(cfg, 8, 4)
     model, trace = greedy_offline(system, n_max=4, train_size=16, seed=SEED)
+    return system, model, trace
+
+
+@pytest.fixture(scope="module")
+def p2p2_rb():
+    cfg = ProblemConfig("stokes", "P2P2",
+                        StabilizationConfig("ResidualBased", 0.05))
+    system = FlowSystem(cfg, 8, 4)
+    model, trace = greedy_offline(system, n_max=3, train_size=9, seed=SEED)
     return system, model, trace
 
 
@@ -389,9 +399,11 @@ def test_fully_unstabilized_option_degrades_or_fails(stokes_rb):
 
 def _block_solve(model, mu):
     """Reference solve from the named blocks, cut to the option's
-    velocity size: the saddle [[A - Suv, B^T - Spv], [B - Suq, -Spq]],
-    and for Navier-Stokes Newton on the block residual and Jacobian,
-    started from that Stokes solution."""
+    velocity size: the saddle [[A - Suv, B^T - Spv], [B - Suq, -Spq]]
+    with right-hand side [fvisc + fstab, gplain + gstab], the
+    stabilization terms only where the option keeps them, and for
+    Navier-Stokes Newton on the block residual and Jacobian, started
+    from that Stokes solution."""
     geom, n = model.geometry(), model.n_vel
     keep = model.stab_online
 
@@ -407,6 +419,8 @@ def _block_solve(model, mu):
         if model.suv is not None:
             a = a - ev("suv", np.s_[:n, :n])
             bt = bt - ev("spv", np.s_[:n, :])
+        if model.fstab is not None:
+            f = f + ev("fstab", np.s_[:n])
         if model.gstab is not None:
             g = g + ev("gstab")
     x = np.linalg.solve(np.block([[a, bt], [btilde, -s]]),
@@ -446,6 +460,21 @@ def _block_solve(model, mu):
     raise NonConvergenceError("block Newton stalled", [])
 
 
+def test_saddle_tables_name_model_arrays():
+    # every name the saddle operator reads is a stored, sliceable array,
+    # and the table's spaces are the axes it is stored with
+    fields = {f.name for f in dataclasses.fields(ReducedModel)}
+    for blk in SADDLE_BLOCKS:
+        assert blk.name in fields
+        axes = (blk.cols, blk.rows) if blk.transposed \
+            else (blk.rows, blk.cols)
+        assert _AXES[blk.name] == axes, blk.name
+    for (rows, _), name in _LIFTING_RHS.items():
+        assert name in fields and _AXES[name] == (rows,), name
+    for name, _, _ in _NS_TERMS:
+        assert name in fields and name in _AXES, name
+
+
 @pytest.mark.parametrize("case", ["stokes_rb", "p2p2_rho_rb", "p1p0_rb",
                                   "ns_rb"])
 def test_solve_reduced_matches_block_assembly(case, request):
@@ -465,6 +494,43 @@ def test_solve_reduced_matches_block_assembly(case, request):
             assert np.linalg.norm(u - u0) <= tol * np.linalg.norm(u0), opt
             assert np.linalg.norm(p - p0) <= tol * np.linalg.norm(p0), opt
             assert RCOND_TOL < info["rcond"] <= 1.0
+
+
+@pytest.mark.parametrize("case", ["stokes_rb", "p2p2_rb", "p2p2_rho_rb",
+                                  "p1p0_rb", "ns_rb"])
+def test_reduced_solution_is_galerkin_for_its_full_order_system(case,
+                                                                request):
+    # options i/ii project the stabilized FE system, options iii/iv the
+    # same configuration without stabilization, right-hand sides
+    # included: the FE residual of the reconstructed reduced solution is
+    # orthogonal to the option's bases
+    system, model, _ = request.getfixturevalue(case)
+    cfg = system.config
+    plain = FlowSystem(
+        dataclasses.replace(cfg, stabilization=StabilizationConfig()),
+        system.mesh_nx, system.mesh_ny, mesh=system.mesh)
+    rng = np.random.default_rng(9)
+    mus = [tuple(model.mus[-1])] + [
+        (rng.uniform(*cfg.mu1_range), rng.uniform(*cfg.mu2_range))
+        for _ in range(2)]
+    nf, npr = system.n_free, system.n_pressure
+    solved = set()
+    for opt in OPTIONS:
+        view = with_option(model, opt)
+        full = system if view.stab_online else plain
+        zv, zp = view.z_velocity(), view.z_p
+        for mu in mus:
+            try:
+                u, p, _ = solve_reduced(view, mu)
+            except SingularSystemError:
+                continue
+            solved.add(opt)
+            r = full.residual(mu, zv @ u, zp @ p)
+            projected = np.concatenate([zv[full.free].T @ r[:nf],
+                                        zp.T @ r[nf:nf + npr]])
+            assert np.linalg.norm(projected) \
+                <= 1e-9 * full.residual_reference(mu), (opt, mu)
+    assert {"i", "ii", "iii"} <= solved
 
 
 def _near_duplicate_pressure(model, eps):
@@ -657,16 +723,18 @@ def test_loaded_model_solves_identically(tmp_path, stokes_rb):
 
 
 @pytest.mark.parametrize("header", ["format = cavityrb-rbm-1",
-                                    "format = cavityrb-rbm-2", None])
+                                    "format = cavityrb-rbm-2",
+                                    "format = cavityrb-rbm-3", None])
 def test_load_model_refuses_other_formats(tmp_path, stokes_rb, header):
     # earlier files hold stabilization terms projected from the
-    # reference-domain blocks (rbm-1) or the full-order supremizers
-    # (rbm-2); they must not load as current models
+    # reference-domain blocks (rbm-1), the full-order supremizers
+    # (rbm-2) or the momentum-row stabilization lifting inside the
+    # Galerkin fvisc (rbm-3); they must not load as current models
     _, model, _ = stokes_rb
     path = tmp_path / "model.rbm"
     save_model(model, path)
     lines = path.read_text().splitlines()
-    idx = lines.index("format = cavityrb-rbm-3")
+    idx = lines.index("format = cavityrb-rbm-4")
     if header is None:
         del lines[idx]
     else:
@@ -684,7 +752,7 @@ def test_load_model_refuses_incomplete_files(tmp_path, stokes_rb, damage):
     save_model(model, path)
     lines = path.read_text().splitlines()
     if damage == "bare":
-        lines = ["format = cavityrb-rbm-3", "arrays = 0"]
+        lines = ["format = cavityrb-rbm-4", "arrays = 0"]
     elif damage == "no_header_key":
         lines = [ln for ln in lines if not ln.startswith("n_u = ")]
     elif damage == "no_array":
