@@ -21,8 +21,8 @@ from .fespace import (FeFunction, bary_coords, make_space, shape_dlam,
 from .hifi import PAIRS, FeSolution, FlowSystem, ProblemConfig
 from .mesh import build_rect_mesh
 from .quadrature import triangle_rule
-from .rb import (ReducedModel, modified_infsup, plain_infsup, solve_reduced,
-                 test_parameters, truncate_model, with_option)
+from .rb import (ReducedModel, held_out_parameters, modified_infsup,
+                 plain_infsup, solve_reduced, truncate_model, with_option)
 from .util import NonConvergenceError, SingularSystemError, parallel_map
 
 SWEEP_HEADER = ("N", "option", "field", "norm",
@@ -218,9 +218,9 @@ def error_sweep(system: FlowSystem, model: ReducedModel, seed: int,
     if test_points is not None:
         test = [tuple(map(float, mu)) for mu in test_points]
     else:
-        test = test_parameters(cfg.mu1_range, cfg.mu2_range, test_size,
-                               seed + 1,
-                               exclude=[tuple(m) for m in model.mus])
+        test = held_out_parameters(cfg.mu1_range, cfg.mu2_range,
+                                   test_size, seed + 1,
+                                   exclude=[tuple(m) for m in model.mus])
     t0 = time.perf_counter()
     truths = parallel_map(system.solve, test, threads)
     t_truth = time.perf_counter() - t0

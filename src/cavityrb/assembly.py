@@ -5,10 +5,12 @@ parameter enters only through scalar coefficients (the map stretches x
 by a(mu2), giving the viscous tensor nu*diag(1/a, a) and the divergence
 tensor diag(1, a)).  Each form is returned as an AffineOperator: a list
 of (theta-tag, matrix) terms whose weighted sum reproduces the mapped
-operator at any parameter.  How the blocks enter the saddle system
-(sign, Galerkin or stabilization) is not decided here but in
-``hifi.SADDLE_BLOCKS``; right-hand sides are not assembled here either,
-since the lifting right-hand side is the residual at the zero
+operator at any parameter; so are the matrices Q(w) of the quadratic
+terms Q(u)u (convection, SUPG transport) at a transporting field w.
+How the blocks enter the saddle system (sign, Galerkin or stabilization)
+is not decided here but in ``hifi.SADDLE_BLOCKS`` and
+``hifi.QUADRATIC_TERMS``; right-hand sides are not assembled here
+either, since the lifting right-hand side is the residual at the zero
 homogeneous state (``hifi.FlowSystem.lifting_rhs``).
 
 The Stokes residual stabilization is the physical form pulled back the
@@ -20,7 +22,8 @@ becomes a times its reference form; it is the whole of
 BrezziPitkaranta, while ResidualBased adds the viscous-residual blocks.
 The Navier-Stokes (SUPGFamily) blocks and the P1/P0 jump penalty
 (delta*h_sigma per interior edge) stay on the reference elements
-(reference h_K, no pullback); so do the body-force terms.
+(reference h_K, no pullback); so do the body-force terms, among them
+the momentum-row term rho delta h_K^2 (f, nu lap v) of ResidualBased.
 """
 
 from __future__ import annotations
@@ -35,9 +38,22 @@ from .fespace import FunctionSpace, bary_coords, shape_dlam, shape_values
 from .linalg import CsrPattern
 from .quadrature import triangle_rule
 
-THETA_TAGS = ("one", "a", "nu", "nu_over_a", "nu_times_a", "nu_times_a_sq",
-              "nu_sq", "nu_sq_over_a_cu", "nu_sq_over_a", "nu_sq_times_a",
-              "nu_sq_times_a_cu")
+# theta_q(nu, a) of every tag
+_THETA = {
+    "one": lambda nu, a: 1.0,
+    "a": lambda nu, a: a,
+    "nu": lambda nu, a: nu,
+    "nu_over_a": lambda nu, a: nu / a,
+    "nu_times_a": lambda nu, a: nu * a,
+    "nu_times_a_sq": lambda nu, a: nu * a * a,
+    "nu_sq": lambda nu, a: nu * nu,
+    "nu_sq_over_a_cu": lambda nu, a: nu * nu / (a * a * a),
+    "nu_sq_over_a": lambda nu, a: nu * nu / a,
+    "nu_sq_times_a": lambda nu, a: nu * nu * a,
+    "nu_sq_times_a_cu": lambda nu, a: nu * nu * a * a * a,
+}
+
+THETA_TAGS = tuple(_THETA)
 
 STAB_METHODS = ("None", "BrezziPitkaranta", "ResidualBased", "SUPGFamily",
                 "EdgeJumpP1P0")
@@ -70,31 +86,9 @@ class GeometryMap:
         return mu1 if self.viscosity == "direct" else 1.0 / mu1
 
     def theta(self, tag: str, mu) -> float:
-        a = self.a(mu[1])
-        if tag == "one":
-            return 1.0
-        if tag == "a":
-            return a
-        nu = self.nu(mu)
-        if tag == "nu":
-            return nu
-        if tag == "nu_over_a":
-            return nu / a
-        if tag == "nu_times_a":
-            return nu * a
-        if tag == "nu_times_a_sq":
-            return nu * a * a
-        if tag == "nu_sq":
-            return nu * nu
-        if tag == "nu_sq_over_a_cu":
-            return nu * nu / (a * a * a)
-        if tag == "nu_sq_over_a":
-            return nu * nu / a
-        if tag == "nu_sq_times_a":
-            return nu * nu * a
-        if tag == "nu_sq_times_a_cu":
-            return nu * nu * a * a * a
-        raise ValueError(f"unknown theta tag {tag!r}")
+        if tag not in _THETA:
+            raise ValueError(f"unknown theta tag {tag!r}")
+        return _THETA[tag](self.nu(mu), self.a(mu[1]))
 
 
 class AffineOperator:
@@ -246,12 +240,10 @@ def assemble_mean_vector(prs: FunctionSpace) -> np.ndarray:
     return out
 
 
-def assemble_body_force(vel: FunctionSpace, force, degree: int = 10) -> np.ndarray:
-    """(f, v) for a smooth callable force(x, y) -> (fx, fy)."""
+def _force_at_quadrature(mesh, force, degree: int):
+    """(rule points, weights (t, q), force values (t, q, 2)) per cell."""
     pts, w = triangle_rule(degree)
     lam = bary_coords(pts)
-    vals = shape_values(vel.family, lam)
-    mesh = vel.mesh
     verts = mesh.vertices[mesh.triangles]            # (t, 3, 2)
     phys = np.einsum("qi,tid->tqd", lam, verts)
     fxy = np.empty_like(phys)
@@ -259,6 +251,13 @@ def assemble_body_force(vel: FunctionSpace, force, degree: int = 10) -> np.ndarr
         for q in range(phys.shape[1]):
             fxy[t, q] = force(phys[t, q, 0], phys[t, q, 1])
     wdet = 2.0 * mesh.areas[:, None] * w[None, :]
+    return lam, wdet, fxy
+
+
+def assemble_body_force(vel: FunctionSpace, force, degree: int = 10) -> np.ndarray:
+    """(f, v) for a smooth callable force(x, y) -> (fx, fy)."""
+    lam, wdet, fxy = _force_at_quadrature(vel.mesh, force, degree)
+    vals = shape_values(vel.family, lam)
     loc = np.einsum("tq,qn,tqd->tnd", wdet, vals, fxy)
     out = np.zeros(vel.dof_count)
     np.add.at(out, vel.cell_vector_dofs().ravel(), loc.ravel())
@@ -268,18 +267,10 @@ def assemble_body_force(vel: FunctionSpace, force, degree: int = 10) -> np.ndarr
 def assemble_stab_body_force(prs: FunctionSpace, force, delta: float,
                              degree: int = 10) -> np.ndarray:
     """-delta sum_K h_K^2 (f, grad q): continuity consistency term."""
-    pts, w = triangle_rule(degree)
-    lam = bary_coords(pts)
-    dlam = shape_dlam(prs.family, lam)
     mesh = prs.mesh
+    lam, wdet, fxy = _force_at_quadrature(mesh, force, degree)
+    dlam = shape_dlam(prs.family, lam)
     grads = np.einsum("qni,tid->tqnd", dlam, mesh.grad_bary)
-    verts = mesh.vertices[mesh.triangles]
-    phys = np.einsum("qi,tid->tqd", lam, verts)
-    fxy = np.empty_like(phys)
-    for t in range(phys.shape[0]):
-        for q in range(phys.shape[1]):
-            fxy[t, q] = force(phys[t, q, 0], phys[t, q, 1])
-    wdet = 2.0 * mesh.areas[:, None] * w[None, :]
     h2 = mesh.element_diameters ** 2
     loc = -delta * np.einsum("t,tq,tqnd,tqd->tn", h2, wdet, grads, fxy)
     out = np.zeros(prs.n_scalar)
@@ -287,8 +278,28 @@ def assemble_stab_body_force(prs: FunctionSpace, force, delta: float,
     return out
 
 
+def assemble_momentum_stab_body_force(vel: FunctionSpace, force,
+                                      delta: float, rho: float,
+                                      degree: int = 10) -> np.ndarray:
+    """rho delta sum_K h_K^2 (f, lap v): the momentum-row consistency
+    term of ResidualBased, without its factor nu (theta tag "nu")."""
+    mesh = vel.mesh
+    _, wdet, fxy = _force_at_quadrature(mesh, force, degree)
+    lap = vel.cell_second_derivatives().sum(axis=-1)      # (t, n)
+    h2 = mesh.element_diameters ** 2
+    loc = rho * delta * np.einsum("t,tn,tq,tqd->tnd", h2, lap, wdet, fxy)
+    out = np.zeros(vel.dof_count)
+    np.add.at(out, vel.cell_vector_dofs().ravel(), loc.ravel())
+    return out
+
+
 # ---------------------------------------------------------------------------
 # convective tables and assemblers
+
+
+def _nodal(vel: FunctionSpace, w: np.ndarray) -> np.ndarray:
+    cd = vel.cell_dofs
+    return np.stack([w[2 * cd], w[2 * cd + 1]], axis=-1)   # (t, n, 2)
 
 
 class ConvectionAssembler:
@@ -328,13 +339,9 @@ class ConvectionAssembler:
         self._jac_pat = {e: CsrPattern(jrows.ravel(), jcols[e].ravel(), shape)
                          for e in (0, 1)}
 
-    def _nodal(self, w: np.ndarray) -> np.ndarray:
-        cd = self.space.cell_dofs
-        return np.stack([w[2 * cd], w[2 * cd + 1]], axis=-1)   # (t, n, 2)
-
     def matrix(self, w: np.ndarray) -> AffineOperator:
         """C(w; mu) acting on the transported argument (rows = test)."""
-        wn = self._nodal(w)
+        wn = _nodal(self.space, w)
         terms = []
         for e, tag in ((0, "one"), (1, "a")):
             loc = np.einsum("tpnr,tp->trn", self.tables[e], wn[..., e])
@@ -348,7 +355,7 @@ class ConvectionAssembler:
         Entry (2g_r+m, 2g_a+e) = c_e(phi_a, w, phi_{r,m}); adding
         matrix(w) gives the full convective Jacobian at w.
         """
-        wn = self._nodal(w)
+        wn = _nodal(self.space, w)
         terms = []
         for e, tag in ((0, "one"), (1, "a")):
             loc = np.einsum("tanr,tnm->trma", self.tables[e], wn)
@@ -363,12 +370,14 @@ class SupgAssembler:
     ``transport(w)`` assembles its matrix in the transported argument,
     ``jacobian(w)`` the derivative with respect to the transporting
     argument, both from the shared tables
-    G_e[t,p,q,r,m] = int N_p d_e N_q d_m psi_r.
+    G_e[t,p,q,r,m] = int N_p d_e N_q d_m psi_r.  Both are AffineOperators
+    like the convection matrices; on the reference elements their one
+    term carries the tag "one" (a pullback through the stretch would
+    split it by direction, as the convection's "one"/"a").
     """
 
     def __init__(self, vel: FunctionSpace, prs: FunctionSpace, delta: float):
         self.vel = vel
-        self.prs = prs
         self.delta = float(delta)
         kv = _poly_degree(vel.family)
         kp = _poly_degree(prs.family)
@@ -398,21 +407,17 @@ class SupgAssembler:
         # (cell, pressure dof, velocity node, component)
         self._pat = CsrPattern(trows.ravel(), tcols.ravel(), shape)
 
-    def _nodal(self, w: np.ndarray) -> np.ndarray:
-        cd = self.vel.cell_dofs
-        return np.stack([w[2 * cd], w[2 * cd + 1]], axis=-1)
-
-    def transport(self, w: np.ndarray) -> scipy.sparse.csr_matrix:
-        wn = self._nodal(w)
+    def transport(self, w: np.ndarray) -> AffineOperator:
+        wn = _nodal(self.vel, w)
         loc = (np.einsum("tpnrm,tp->trnm", self.tables[0], wn[..., 0])
                + np.einsum("tpnrm,tp->trnm", self.tables[1], wn[..., 1]))
-        return self._pat.assemble(loc.ravel())
+        return AffineOperator([("one", self._pat.assemble(loc.ravel()))])
 
-    def jacobian(self, w: np.ndarray) -> scipy.sparse.csr_matrix:
-        wn = self._nodal(w)
+    def jacobian(self, w: np.ndarray) -> AffineOperator:
+        wn = _nodal(self.vel, w)
         loc = np.stack([np.einsum("tpnrm,tnm->trp", self.tables[e], wn)
                         for e in (0, 1)], axis=-1)
-        return self._pat.assemble(loc.ravel())
+        return AffineOperator([("one", self._pat.assemble(loc.ravel()))])
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ The saddle-point system is solved in homogeneous-Dirichlet unknowns
 (lid data enters through a lifting field), with a single scalar
 Lagrange multiplier enforcing the zero-mean pressure gauge.  Its linear
 blocks are listed once, in ``SADDLE_BLOCKS``: row space, column space,
-sign and whether the block is a Galerkin or a stabilization term.  Every
-full-order quantity is read from that table: the residual is one loop of
-mat-vecs over it (plus convection, SUPG transport and body forces), the
-lifting right-hand side is the linear part of that loop at the zero
-homogeneous state, and the Stokes matrix and the Newton Jacobian are
-bordered matrices built from it.  The reduced model projects the same
-table (``rb``).
+sign and whether the block is a Galerkin or a stabilization term; its
+two quadratic terms, convection and SUPG transport, are listed the same
+way in ``QUADRATIC_TERMS``.  Every full-order quantity is read from
+these tables: the residual is one loop of mat-vecs over them (plus the
+body forces), the lifting right-hand side is the linear part of that
+loop at the zero homogeneous state, and the Stokes matrix and the Newton
+Jacobian are bordered matrices built from them.  The reduced model
+projects the same tables (``rb``).
 
 Navier-Stokes is solved by a full Newton iteration on the total
 velocity field; the Jacobian differentiates the convective term and the
@@ -35,6 +36,7 @@ from .assembly import (
     assemble_divergence,
     assemble_gram,
     assemble_mean_vector,
+    assemble_momentum_stab_body_force,
     assemble_ns_stabilization,
     assemble_stab_body_force,
     assemble_stokes_stabilization,
@@ -55,14 +57,17 @@ NEWTON_MAX_ITER = 25
 
 
 class SaddleBlock(NamedTuple):
-    """One linear block of the saddle system.
+    """One block of the saddle system.
 
     ``name`` is the operator (a key of ``FlowSystem.operators`` and the
     ``ReducedModel`` field of its projection); ``rows`` and ``cols`` are
     its spaces, "v" velocity and "p" pressure.  A ``transposed`` block
     is the named operator's transpose.  ``stab`` marks a stabilization
     term: online options iii/iv drop it, in the matrix and in the lifting
-    right-hand side alike.
+    right-hand side alike.  A quadratic block has ``cols`` "w": it is
+    sign * Q(u) u in the total velocity u, with Q(w) and the derivative
+    of Q(u) u in the transporting slot at w from
+    ``FlowSystem.quadratic[name]``.
     """
 
     name: str
@@ -84,6 +89,12 @@ SADDLE_BLOCKS = (
     SaddleBlock("suv", "v", "v", -1.0, True),
     SaddleBlock("spv", "v", "p", -1.0, True),
 )
+
+
+# the convection c(u, u, v) and minus the SUPG transport
+# delta h_K^2 ((u . grad) u, grad q)
+QUADRATIC_TERMS = (SaddleBlock("conv", "v", "w", 1.0, False),
+                   SaddleBlock("tn", "p", "w", -1.0, True))
 
 
 @dataclass
@@ -198,22 +209,37 @@ class FlowSystem:
                     config.stabilization)
         self.convection = (ConvectionAssembler(self.velocity_space)
                            if config.problem == "navier_stokes" else None)
+        # (Q, dQ) of each QUADRATIC_TERMS name the configuration has; the
+        # assemblers' methods are looked up at every call
+        self.quadratic = {}
+        if self.convection is not None:
+            conv = self.convection
+            self.quadratic["conv"] = (lambda w: conv.matrix(w),
+                                      lambda w: conv.transport_jacobian(w))
+        if self.stab is not None and self.stab.supg is not None:
+            supg = self.stab.supg
+            self.quadratic["tn"] = (lambda w: supg.transport(w),
+                                    lambda w: supg.jacobian(w))
         self.operators = {"visc": self.viscous, "b": self.divergence}
         for blk in SADDLE_BLOCKS:
             op = getattr(self.stab, blk.name, None)
             if op is not None:
                 self.operators[blk.name] = op
 
-        # (row space, stabilization flag, vector) of each body-force term
+        # (row space, stabilization flag, theta tag, vector) per body force
         self.body_terms = []
         if body_force is not None:
-            self.body_terms.append(("v", False, assemble_body_force(
-                self.velocity_space, body_force)))
-            if (self.stab is not None
-                    and config.stabilization.method != "EdgeJumpP1P0"):
-                self.body_terms.append(("p", True, assemble_stab_body_force(
-                    self.pressure_space, body_force,
-                    config.stabilization.delta)))
+            sc, vel = config.stabilization, self.velocity_space
+            self.body_terms.append(
+                ("v", False, "one", assemble_body_force(vel, body_force)))
+            if self.stab is not None and sc.method != "EdgeJumpP1P0":
+                cont = assemble_stab_body_force(
+                    self.pressure_space, body_force, sc.delta)
+                self.body_terms.append(("p", True, "one", cont))
+            if getattr(self.stab, "suv", None) is not None:
+                mom = assemble_momentum_stab_body_force(
+                    vel, body_force, sc.delta, sc.rho)
+                self.body_terms.append(("v", True, "nu", mom))
 
         self.gram_velocity = assemble_gram(self.velocity_space, "h1semi")
         self.gram_pressure = assemble_gram(self.pressure_space, "l2")
@@ -239,8 +265,8 @@ class FlowSystem:
             x = state[cols]
             for tag, m in op:
                 yield rows, stab, tag, sign, (m.T if transposed else m) @ x
-        for rows, stab, vec in self.body_terms:
-            yield rows, stab, "one", -1.0, vec
+        for rows, stab, tag, vec in self.body_terms:
+            yield rows, stab, tag, -1.0, vec
 
     def _linear_residual(self, mu, state: dict) -> dict:
         """sum sign theta_q(mu) M_q x over ``_linear_terms``, by row space
@@ -269,18 +295,15 @@ class FlowSystem:
     def _saddle_matrix(self, mu, u_total: np.ndarray | None = None):
         """The bordered SADDLE_BLOCKS matrix at mu on the free velocity
         dofs, with the mean constraint; given a total velocity, the
-        Newton Jacobian there (plus the convection and SUPG transport
-        derivatives)."""
+        Newton Jacobian there (plus Q + dQ of every QUADRATIC_TERMS
+        entry)."""
         g = self.geometry
         values: dict[str, scipy.sparse.spmatrix] = {}
         blocks: dict[tuple, scipy.sparse.spmatrix] = {}
 
         def add(key, m, sign=1.0):
-            if key not in blocks:
-                blocks[key] = m if sign > 0 else -m
-            else:
-                blocks[key] = blocks[key] + m if sign > 0 \
-                    else blocks[key] - m
+            m = m if sign > 0 else -m
+            blocks[key] = blocks[key] + m if key in blocks else m
 
         for name, rows, cols, sign, _, transposed in SADDLE_BLOCKS:
             op = self.operators.get(name)
@@ -290,12 +313,11 @@ class FlowSystem:
                 values[name] = op.evaluate(g, mu)
             m = values[name].T.tocsr() if transposed else values[name]
             add((rows, cols), m, sign)
-        if u_total is not None:
-            add(("v", "v"), self.convection.matrix(u_total).evaluate(g, mu)
-                + self.convection.transport_jacobian(u_total).evaluate(g, mu))
-            if self.stab is not None and self.stab.supg is not None:
-                add(("p", "v"), self.stab.supg.transport(u_total)
-                    + self.stab.supg.jacobian(u_total), -1.0)
+        for name, rows, _, sign, _, _ in QUADRATIC_TERMS:
+            if u_total is not None and name in self.quadratic:
+                q, dq = self.quadratic[name]
+                add((rows, "v"), q(u_total).evaluate(g, mu)
+                    + dq(u_total).evaluate(g, mu), sign)
 
         def cut(rows, cols):
             m = blocks.get((rows, cols))
@@ -330,22 +352,20 @@ class FlowSystem:
         """Nonlinear algebraic residual at a homogeneous-velocity state.
 
         The SADDLE_BLOCKS mat-vecs on the total state [u + l | p], plus
-        convection, SUPG transport and body forces; stacks the free
-        momentum rows, the (stabilized) continuity rows and the mean
-        constraint.  This is the quantity Newton drives to zero and the
-        one the greedy error indicator measures.
+        the QUADRATIC_TERMS and body forces; stacks the free momentum
+        rows, the (stabilized) continuity rows and the mean constraint.
+        This is the quantity Newton drives to zero and the one the greedy
+        error indicator measures.
         """
         g = self.geometry
         u_t = u_homog + self.lifting.values
         r = self._linear_residual(mu, {"v": u_t, "p": p})
-        r_mom, r_cont = r["v"], r["p"]
-        if self.convection is not None:
-            for tag, m in self.convection.matrix(u_t):
-                r_mom += g.theta(tag, mu) * (m @ u_t)
-        if self.stab is not None and self.stab.supg is not None:
-            r_cont -= self.stab.supg.transport(u_t) @ u_t
-        r_cont += lam * self.mean_vector
-        return np.concatenate([r_mom[self.free], r_cont,
+        for name, rows, _, sign, _, _ in QUADRATIC_TERMS:
+            if name in self.quadratic:
+                for tag, m in self.quadratic[name][0](u_t):
+                    r[rows] += (sign * g.theta(tag, mu)) * (m @ u_t)
+        r["p"] += lam * self.mean_vector
+        return np.concatenate([r["v"][self.free], r["p"],
                                [self.mean_vector @ p]])
 
     def residual_reference(self, mu) -> float:

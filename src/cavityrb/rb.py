@@ -3,8 +3,7 @@
 Offline: greedy snapshot selection driven by the relative algebraic
 residual of the stabilized FE system, supremizer enrichment of the
 velocity space, Gram-Schmidt orthonormalization, and projection of all
-affine operators (plus the dense convective and streamline-derivative
-tensors for Navier-Stokes).
+affine operators.
 
 Online: one dense solve under four formulations,
     (i)   enriched velocity space, stabilization terms kept,
@@ -14,13 +13,16 @@ Online: one dense solve under four formulations,
 Only the enriched model is built.  It projects the full-order saddle
 table (``hifi.SADDLE_BLOCKS``) block by block, and the lifting
 right-hand side, the full-order residual at the zero homogeneous state,
-into one vector per row space and Galerkin/stabilization flag.  These
-are stacked into one affine saddle operator with the unknowns ordered
-[u | p | s], so an option is a leading size of that system plus a choice
-of keeping its stabilization terms; options iii/iv drop every one of
-them, right-hand sides included.  One Newton solve serves Stokes and
-Navier-Stokes.  Truncating to the first greedy snapshots is a change of
-basis in reduced coordinates.
+into one vector per row space and Galerkin/stabilization flag.  Each
+quadratic term of Navier-Stokes (``hifi.QUADRATIC_TERMS``: convection
+and SUPG transport) is projected once, as one affine tensor on the total
+velocity basis [l | Z_v]; its lifting, linear and quadratic parts are
+slices of it.  These are stacked into one affine saddle operator with
+the unknowns ordered [u | p | s], so an option is a leading size of that
+system plus a choice of keeping its stabilization terms; options iii/iv
+drop every one of them, right-hand sides included.  One Newton solve
+serves Stokes and Navier-Stokes.  Truncating to the first greedy
+snapshots is a change of basis in reduced coordinates.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import AffineOperator, GeometryMap
-from .hifi import SADDLE_BLOCKS, FeSolution, FlowSystem
+from .hifi import QUADRATIC_TERMS, SADDLE_BLOCKS, FeSolution, FlowSystem
 from .fespace import FeFunction
 from .linalg import (SparseLU, dense_lu_solve, modified_gram_schmidt,
                      smallest_gsv)
@@ -103,18 +105,9 @@ class GreedyTrace:
 _LIFTING_RHS = {("v", False): "fvisc", ("v", True): "fstab",
                 ("p", False): "gplain", ("p", True): "gstab"}
 
-# The Navier-Stokes terms outside the linear table, in
-# r(x) = K x + N(x, x) - F: name, sign, stabilization flag.  The rank of
-# their axes tells vectors (F), matrices (K) and tensors (N) apart; the
-# arrays without theta (the SUPG tensors) take "one".
-_NS_TERMS = (
-    ("dconv", 1.0, False), ("tln", -1.0, True), ("tzln", -1.0, True),
-    ("fconv", 1.0, False), ("tll", 1.0, True),
-    ("conv", 1.0, False), ("tn", -1.0, True),
-)
-
 # Bases of every reduced array, one entry per axis: "v" the reduced
-# velocity (velocity then supremizer columns), "p" the reduced pressure,
+# velocity (velocity then supremizer columns), "w" the total velocity
+# [l | v] (the lifting, then the "v" columns), "p" the reduced pressure,
 # "n" the greedy snapshots, None a full-order or fixed axis.  The table
 # drives truncation, the saddle operator and the .rbm format.
 _AXES = {
@@ -122,9 +115,9 @@ _AXES = {
     **{blk.name: (blk.rows, blk.cols) for blk in SADDLE_BLOCKS
        if not blk.transposed},
     **{name: (rows,) for (rows, _), name in _LIFTING_RHS.items()},
-    "fconv": ("v",), "dconv": ("v", "v"), "conv": ("v", "v", "v"),
-    "tn": ("p", "v", "v"), "tln": ("p", "v"), "tzln": ("p", "v"),
-    "tll": ("p",), "xu": ("v", "v"), "xp": ("p", "p"),
+    **{term.name: (term.rows, term.cols, term.cols)
+       for term in QUADRATIC_TERMS},
+    "xu": ("v", "v"), "xp": ("p", "p"),
     "mus": ("n", None), "indicators": ("n",), "sizes": ("n", None),
     "u_snaps": (None, "n"), "p_snaps": (None, "n"),
     "sup_coords": ("v", "n"),
@@ -155,16 +148,15 @@ class SaddleOperator:
 
     Unknowns are ordered [u | p | s], so the plain-space options solve
     the leading n_u + n_p block.  K is placed from ``SADDLE_BLOCKS``, F
-    from ``_LIFTING_RHS`` and the Navier-Stokes pieces from ``_NS_TERMS``,
-    signs and Galerkin/stabilization flags included.  K, F and N are each
-    a stack of terms, one per (theta tag, stabilization flag) pair,
-    evaluated by one contraction with the theta weights; an option that
-    drops the stabilization weighs its terms with zero, in K, F and N
-    alike.  N holds the convection
-    tensor in the velocity rows and minus the SUPG transport tensor in
-    the pressure rows, symmetrized in its two input axes so that
-    N(x, x) = (N x) x and the Jacobian is K + 2 N x; it is None for
-    Stokes.
+    from ``_LIFTING_RHS``, signs and Galerkin/stabilization flags
+    included, and a ``QUADRATIC_TERMS`` tensor T on [l | Z_v] is expanded
+    around the lifting: -sign T[:, 0, 0] enters F, sign (T[:, 0, 1:] +
+    T[:, 1:, 0]) K and sign T[:, 1:, 1:] N.  K, F and N are each a stack
+    of terms, one per (theta tag, stabilization flag) pair, evaluated by
+    one contraction with the theta weights; an option that drops the
+    stabilization weighs its terms with zero, in K, F and N alike.  N is
+    symmetrized in its two input axes so that N(x, x) = (N x) x and the
+    Jacobian is K + 2 N x; it is None for Stokes.
     """
 
     def __init__(self, model: ReducedModel):
@@ -172,24 +164,24 @@ class SaddleOperator:
         size = model.z_v.shape[1] + n_p
         at = {"v": np.r_[0:n_u, n_u + n_p:size],
               "p": np.arange(n_u, n_u + n_p)}
-        # (name, placement axes, sign, stabilization flag, transposed)
-        entries = [(blk.name, (blk.rows, blk.cols), blk.sign, blk.stab,
-                    blk.transposed) for blk in SADDLE_BLOCKS]
-        entries += [(name, (rows,), 1.0, stab, False)
-                    for (rows, stab), name in _LIFTING_RHS.items()]
-        entries += [(name, _AXES[name], sign, stab, False)
-                    for name, sign, stab in _NS_TERMS]
         parts: dict[int, list] = {1: [], 2: [], 3: []}
-        for name, axes, sign, stab, transposed in entries:
-            value = getattr(model, name)
-            if value is None:
-                continue
-            terms = value if isinstance(value, AffineOperator) \
-                else [("one", value)]
-            for tag, m in terms:
-                parts[len(axes)].append(
-                    (tag, stab, np.ix_(*(at[k] for k in axes)),
-                     sign * (m.T if transposed else m)))
+
+        def add(axes, stab, tag, block):
+            parts[len(axes)].append(
+                (tag, stab, np.ix_(*(at[k] for k in axes)), block))
+
+        for name, rows, cols, sign, stab, transposed in SADDLE_BLOCKS:
+            for tag, m in getattr(model, name) or ():
+                add((rows, cols), stab, tag, sign * (m.T if transposed else m))
+        for (rows, stab), name in _LIFTING_RHS.items():
+            for tag, m in getattr(model, name) or ():
+                add((rows,), stab, tag, m)
+        for name, rows, _, sign, stab, _ in QUADRATIC_TERMS:
+            for tag, t in getattr(model, name) or ():
+                add((rows,), stab, tag, -sign * t[:, 0, 0])
+                add((rows, "v"), stab, tag,
+                    sign * (t[:, 0, 1:] + t[:, 1:, 0]))
+                add((rows, "v", "v"), stab, tag, sign * t[:, 1:, 1:])
         self.size = size
         self.f, self.k, self.n = (_stack(parts[r], (size,) * r)
                                   for r in (1, 2, 3))
@@ -220,9 +212,11 @@ class ReducedModel:
     ``z_v`` holds the velocity basis (its first ``n_u`` columns) and
     then the supremizer basis; ``_AXES`` names the bases of every array,
     and the parameter-dependent blocks are AffineOperators: one per
-    ``SADDLE_BLOCKS`` operator and one lifting right-hand side per row
-    space and stabilization flag (``_LIFTING_RHS``).  ``sizes``
-    holds (n_u, n_p) after each greedy step and ``sup_coords`` the raw
+    ``SADDLE_BLOCKS`` operator, one lifting right-hand side per row
+    space and stabilization flag (``_LIFTING_RHS``) and one tensor
+    T[i, j, k] = (test i, Q(w_j) w_k), w = [l | z_v], per
+    ``QUADRATIC_TERMS`` entry (Navier-Stokes).  ``sizes`` holds
+    (n_u, n_p) after each greedy step and ``sup_coords`` the raw
     supremizers in the coordinates of ``z_v``, which is all a truncation
     needs.  The named blocks are the stored form; ``saddle`` is derived
     from them at construction.  ``option`` selects what the online solve
@@ -254,15 +248,10 @@ class ReducedModel:
     spv: AffineOperator | None
     fvisc: AffineOperator
     fstab: AffineOperator | None
-    fconv: AffineOperator | None
     gplain: AffineOperator
     gstab: AffineOperator | None
-    dconv: AffineOperator | None
     conv: AffineOperator | None
-    tn: np.ndarray | None
-    tln: np.ndarray | None
-    tzln: np.ndarray | None
-    tll: np.ndarray | None
+    tn: AffineOperator | None
     xu: np.ndarray
     xp: np.ndarray
     mus: np.ndarray
@@ -316,22 +305,21 @@ class ReducedModel:
         return self.z_v[:, :self.n_vel]
 
 
-def _map_axes(model: ReducedModel, cuts: dict, change=None) -> dict:
+def _map_axes(model: ReducedModel, cuts: dict, *changes) -> dict:
     """The arrays that change when axes are cut or change basis.
 
     ``cuts`` maps a basis kind to the number of leading entries kept;
-    ``change`` = (kind, W) contracts every axis of that kind with W, a
+    each change (kind, W) contracts every axis of that kind with W, a
     change of basis as in W^T A W.
     """
-    kinds = set(cuts) | ({change[0]} if change else set())
+    kinds = set(cuts) | {kind for kind, _ in changes}
     index: dict[tuple, tuple] = {}   # per axes signature, built once
 
     def apply(a, axes):
         if axes not in index:
             index[axes] = tuple(slice(cuts.get(k)) for k in axes)
         a = a[index[axes]]
-        if change is not None:
-            kind, w = change
+        for kind, w in changes:
             for i, k in enumerate(axes):
                 if k == kind:
                     a = np.moveaxis(np.tensordot(a, w, axes=(i, 0)), -1, i)
@@ -372,8 +360,8 @@ def training_grid(mu1_range, mu2_range, size: int, seed: int) -> list[tuple]:
     return out
 
 
-def test_parameters(mu1_range, mu2_range, size: int, seed: int,
-                    exclude=()) -> list[tuple]:
+def held_out_parameters(mu1_range, mu2_range, size: int, seed: int,
+                        exclude=()) -> list[tuple]:
     """Seeded uniform sample of the box, skipping excluded points."""
     rng = np.random.default_rng(seed)
     taken = {tuple(e) for e in exclude}
@@ -416,7 +404,6 @@ def build_reduced_model(system: FlowSystem, mus: np.ndarray,
                                         xp_full)
     _report_drops("pressure", n, kept_p)
     zv = np.concatenate([z_u, z_s], axis=1)
-    nv = zv.shape[1]
     lvec = system.lifting.values
     steps = np.arange(n)
 
@@ -429,33 +416,16 @@ def build_reduced_model(system: FlowSystem, mus: np.ndarray,
     for (rows, stab), rhs in system.lifting_rhs().items():
         arrays[_LIFTING_RHS[rows, stab]] = rhs.project_vector(basis[rows])
 
-    if system.convection is not None:
-        cl = system.convection.matrix(lvec)
-        dl = system.convection.transport_jacobian(lvec)
-        arrays["fconv"] = AffineOperator(
-            [(tag, -(m @ lvec)) for tag, m in cl]).project_vector(zv)
-        arrays["dconv"] = AffineOperator(
-            [(tag, m1 + m2) for (tag, m1), (_, m2)
-             in zip(cl.terms, dl.terms)]).project(zv, zv)
-        tensors = np.empty((len(cl.terms), nv, nv, nv))
-        for j in range(nv):
-            cj = system.convection.matrix(zv[:, j]).project(zv, zv)
-            for e, (_, m) in enumerate(cj.terms):
-                tensors[e][:, j, :] = m
-        arrays["conv"] = AffineOperator([(tag, t) for (tag, _), t
-                                         in zip(cl.terms, tensors)])
-        if system.stab is not None and system.stab.supg is not None:
-            supg = system.stab.supg
-            tl = supg.transport(lvec)
-            arrays["tll"] = np.asarray(z_p.T @ (tl @ lvec))
-            arrays["tln"] = np.asarray(z_p.T @ (tl @ zv))
-            tn = np.empty((z_p.shape[1], nv, nv))
-            tzln = np.empty((z_p.shape[1], nv))
-            for j in range(nv):
-                tj = supg.transport(zv[:, j])
-                tn[:, j, :] = z_p.T @ (tj @ zv)
-                tzln[:, j] = z_p.T @ (tj @ lvec)
-            arrays["tn"], arrays["tzln"] = tn, tzln
+    # T[i, j, k] = (test i, Q(w_j) w_k), one column of [l | Z_v] a time
+    w = np.column_stack([lvec, zv])
+    for name, rows, _, _, _, _ in QUADRATIC_TERMS:
+        if name in system.quadratic:
+            q = system.quadratic[name][0]
+            cols = [q(w[:, j]).project(basis[rows], w)
+                    for j in range(w.shape[1])]
+            arrays[name] = AffineOperator(
+                [(tag, np.stack([c.terms[e][1] for c in cols], axis=1))
+                 for e, (tag, _) in enumerate(cols[0].terms)])
 
     arrays.update(
         z_v=zv, z_p=z_p, lifting=lvec.copy(),
@@ -500,7 +470,8 @@ def truncate_model(model: ReducedModel, n: int) -> ReducedModel:
     of the master's.  The first n supremizers are orthonormalized again
     on their coordinates in the master velocity basis, where the Gram
     matrix is the identity, and every velocity axis changes to the
-    resulting basis; no full-order operator is touched.
+    resulting basis, the total-velocity axes with it behind the
+    lifting (blkdiag(1, W)); no full-order operator is touched.
     """
     total = len(model.mus)
     if not 1 <= n <= total:
@@ -514,7 +485,8 @@ def truncate_model(model: ReducedModel, n: int) -> ReducedModel:
     _report_drops("supremizer", n, kept)
     w = np.concatenate([eye[:, :n_u], w_s], axis=1)
     return dataclasses.replace(model, n_u=n_u, **_map_axes(
-        model, {"p": n_p, "n": n}, ("v", w)))
+        model, {"p": n_p, "n": n}, ("v", w),
+        ("w", scipy.linalg.block_diag(1.0, w))))
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +688,7 @@ def modified_infsup(model: ReducedModel, mu) -> float:
 # serialization
 
 
-_RBM_FORMAT = "cavityrb-rbm-4"
+_RBM_FORMAT = "cavityrb-rbm-5"
 
 # header fields: every ReducedModel field that is not an array
 _HEADER = tuple(f for f in dataclasses.fields(ReducedModel)
@@ -805,8 +777,10 @@ def load_model(path):
     if header.get("format") != _RBM_FORMAT:
         # earlier formats carry stabilization terms projected from other
         # operators (cavityrb-rbm-1: reference-domain residual blocks),
-        # the full-order supremizers (cavityrb-rbm-2) or the momentum-row
+        # the full-order supremizers (cavityrb-rbm-2), the momentum-row
         # stabilization lifting inside the Galerkin fvisc (cavityrb-rbm-3)
+        # or the quadratic terms as seven arrays on the velocity basis
+        # alone, fconv/dconv/conv and tll/tln/tzln/tn (cavityrb-rbm-4)
         raise ValueError(f"unsupported model format "
                          f"{header.get('format')!r}; expected {_RBM_FORMAT}")
     for _ in range(n_arrays):
@@ -833,8 +807,8 @@ def load_model(path):
     if missing:
         raise ValueError(f"model file lacks {', '.join(missing)}")
 
-    dims = {"v": arrays["z_v"].shape[1], "p": arrays["z_p"].shape[1],
-            "n": arrays["mus"].shape[0]}
+    dims = {"v": arrays["z_v"].shape[1], "w": arrays["z_v"].shape[1] + 1,
+            "p": arrays["z_p"].shape[1], "n": arrays["mus"].shape[0]}
     values: dict = {name: None for name in _AXES}
     terms: dict[str, list] = {}
     for key, data in arrays.items():

@@ -22,7 +22,7 @@ from cavityrb.cli import main
 from cavityrb.hifi import FlowSystem, ProblemConfig
 from cavityrb.rb import (SupremizerOperator, greedy_offline, load_model,
                          solve_reduced, with_option)
-from cavityrb.rb import test_parameters as draw_test_parameters
+from cavityrb.rb import held_out_parameters as draw_test_parameters
 from cavityrb.util import write_csv
 
 SEED = 42

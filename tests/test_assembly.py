@@ -503,15 +503,16 @@ def test_supg_transport_hand_values():
     w = interpolate(vel, lambda x, y: (1.0, 0.0)).values
     u = interpolate(vel, lambda x, y: (x, 0.0)).values
     q = interpolate(prs, lambda x, y: x).values
-    assert q @ (supg.transport(w) @ u) == pytest.approx(delta, rel=1e-13)
+    t = supg.transport(w).evaluate(GeometryMap(), MU)
+    assert q @ (t @ u) == pytest.approx(delta, rel=1e-13)
 
     vel2, prs2 = spaces(build_rect_mesh(2.0, 1.0, 1, 1), "P1", "P1")
     supg2 = SupgAssembler(vel2, prs2, delta)
     w2 = interpolate(vel2, lambda x, y: (1.0, 0.0)).values
     u2 = interpolate(vel2, lambda x, y: (x, 0.0)).values
     q2 = interpolate(prs2, lambda x, y: x).values
-    assert q2 @ (supg2.transport(w2) @ u2) \
-        == pytest.approx(10.0 * delta, rel=1e-13)
+    t2 = supg2.transport(w2).evaluate(GeometryMap(), MU)
+    assert q2 @ (t2 @ u2) == pytest.approx(10.0 * delta, rel=1e-13)
 
 
 def test_supg_transport_linearity_and_jacobian():
@@ -520,12 +521,14 @@ def test_supg_transport_linearity_and_jacobian():
     rng = np.random.default_rng(10)
     w = rng.standard_normal(vel.dof_count)
     z = rng.standard_normal(vel.dof_count)
-    assert np.abs((supg.transport(2.0 * w) - 2.0 * supg.transport(w))).max() \
-        < 1e-12
-    assert np.abs(supg.transport(np.zeros_like(w))).max() == 0.0
+
+    def transport(x):
+        return supg.transport(x).evaluate(GeometryMap(), MU)
+    assert np.abs((transport(2.0 * w) - 2.0 * transport(w))).max() < 1e-12
+    assert np.abs(transport(np.zeros_like(w))).max() == 0.0
     # bilinearity: d/dw [T(w) u] . z = T(z) u
-    got = supg.jacobian(w) @ z
-    want = supg.transport(z) @ w
+    got = supg.jacobian(w).evaluate(GeometryMap(), MU) @ z
+    want = transport(z) @ w
     assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
 

@@ -170,17 +170,18 @@ def test_missing_model_exits_2(tmp_path, capsys):
 def test_old_format_model_exits_2(tmp_path, capsys):
     path = write_config(tmp_path)
     model = tmp_path / "model.rbm"
-    model.write_text("format = cavityrb-rbm-1\narrays = 0\n")
-    code = main(["online", "--config", path, "--model", str(model)])
-    assert code == 2
-    assert "cavityrb-rbm-1" in capsys.readouterr().err
+    for old in ("cavityrb-rbm-1", "cavityrb-rbm-4"):
+        model.write_text(f"format = {old}\narrays = 0\n")
+        code = main(["online", "--config", path, "--model", str(model)])
+        assert code == 2
+        assert old in capsys.readouterr().err
 
 
 def test_incomplete_model_exits_2(tmp_path, capsys):
     # the current format line, but no header keys and no arrays
     path = write_config(tmp_path)
     model = tmp_path / "model.rbm"
-    model.write_text("format = cavityrb-rbm-4\narrays = 0\n")
+    model.write_text("format = cavityrb-rbm-5\narrays = 0\n")
     code = main(["online", "--config", path, "--model", str(model)])
     assert code == 2
     err = capsys.readouterr().err

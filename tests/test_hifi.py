@@ -8,7 +8,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from cavityrb.assembly import (AffineOperator, StabilizationConfig,
-                               assemble_body_force, assemble_stab_body_force)
+                               assemble_body_force,
+                               assemble_momentum_stab_body_force,
+                               assemble_stab_body_force)
 from cavityrb.fespace import eval as fe_eval
 from cavityrb.fespace import interpolate, make_space, zero_function
 from cavityrb.hifi import NEWTON_TOL, FlowSystem, ProblemConfig
@@ -171,6 +173,24 @@ def test_residual_based_reproduces_p2_solution_at_every_stretch(rho):
                         lambda x, y: 2.0 * nu * a * (x - 1.0)).values
         assert np.abs(sol.velocity.values).max() < 1e-12
         assert np.abs(sol.pressure.values - p).max() < 1e-12
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0, -1.0])
+def test_residual_based_reproduces_p2_solution_with_body_force(rho):
+    # u = (y^2, 0), p = 0 solves -nu lap u + grad p = f = (-2 nu, 0); the
+    # momentum-row stabilization holds the consistency term
+    # rho delta h^2 (f, nu lap v), without which rho != 0 misses it
+    nu = 0.4
+    mesh = build_rect_mesh(2.0, 1.0, 8, 4)
+    vel = make_space(mesh, "P2", 2)
+    lifting = interpolate(vel, lambda x, y: (y * y, 0.0))
+    cfg = ProblemConfig("stokes", "P2P2",
+                        StabilizationConfig("ResidualBased", 0.5, rho=rho))
+    system = FlowSystem(cfg, 8, 4, lifting=lifting, mesh=mesh,
+                        body_force=lambda x, y: (-2.0 * nu, 0.0))
+    sol = system.solve((nu, cfg.mu_bar2))
+    assert np.abs(sol.velocity.values).max() < 1e-12
+    assert np.abs(sol.pressure.values).max() < 1e-12
 
 
 def test_residual_based_response_is_smooth_in_viscosity():
@@ -383,24 +403,31 @@ def _named_saddle_matrix(system, mu, a_extra=None, b_extra=None):
 
 
 def _named_body_vectors(system, force):
+    """(f, v), the continuity term and rho delta h^2 (f, lap v), the
+    momentum-row term that takes the factor nu (None where absent)."""
+    sc = system.config.stabilization
     body = assemble_body_force(system.velocity_space, force)
-    stab_body = None
-    if system.stab is not None \
-            and system.config.stabilization.method != "EdgeJumpP1P0":
+    stab_body = mom_body = None
+    if system.stab is not None and sc.method != "EdgeJumpP1P0":
         stab_body = assemble_stab_body_force(
-            system.pressure_space, force, system.config.stabilization.delta)
-    return body, stab_body
+            system.pressure_space, force, sc.delta)
+    if system.stab is not None and system.stab.suv is not None:
+        mom_body = assemble_momentum_stab_body_force(
+            system.velocity_space, force, sc.delta, sc.rho)
+    return body, stab_body, mom_body
 
 
 def _named_rhs(system, force):
     """Lifting right-hand sides (fbar, gbar): fbar = (f, v) - a(l, v)
-    [+ Suv l], gbar = -b(l, q) [+ Suq l] [+ stabilized body force]."""
+    [+ Suv l + rho delta h^2 (f, nu lap v)], gbar = -b(l, q) [+ Suq l]
+    [+ stabilized body force]."""
     lvec = system.lifting.values
-    body, stab_body = _named_body_vectors(system, force)
+    body, stab_body, mom_body = _named_body_vectors(system, force)
     stab = system.stab
     fterms = [(tag, -(m @ lvec)) for tag, m in system.viscous.terms]
     if stab is not None and stab.suv is not None:
         fterms += [(tag, m @ lvec) for tag, m in stab.suv.terms]
+        fterms.append(("nu", mom_body))
     fterms.append(("one", body))
     gterms = [(tag, -(m @ lvec)) for tag, m in system.divergence.terms]
     if stab is not None and stab.suq is not None:
@@ -412,7 +439,7 @@ def _named_rhs(system, force):
 
 def _named_residual(system, mu, u_homog, p, lam, force):
     g = system.geometry
-    body, stab_body = _named_body_vectors(system, force)
+    body, stab_body, mom_body = _named_body_vectors(system, force)
     u_t = u_homog + system.lifting.values
     a_mu = system.viscous.evaluate(g, mu)
     b_mu = system.divergence.evaluate(g, mu)
@@ -423,13 +450,14 @@ def _named_residual(system, mu, u_homog, p, lam, force):
     if "suv" in sb:
         r_mom -= sb["suv"] @ u_t
         r_mom -= sb["spv"] @ p
+        r_mom -= g.theta("nu", mu) * mom_body
     r_cont = b_mu @ u_t + lam * system.mean_vector
     if "suq" in sb:
         r_cont -= sb["suq"] @ u_t
     if "spq" in sb:
         r_cont -= sb["spq"] @ p
     if system.stab is not None and system.stab.supg is not None:
-        r_cont -= system.stab.supg.transport(u_t) @ u_t
+        r_cont -= system.stab.supg.transport(u_t).evaluate(g, mu) @ u_t
     if stab_body is not None:
         r_cont -= stab_body
     return np.concatenate([r_mom[system.free], r_cont,
@@ -442,8 +470,8 @@ def _named_jacobian(system, mu, u_t):
         + system.convection.transport_jacobian(u_t).evaluate(g, mu)
     b_extra = None
     if system.stab is not None and system.stab.supg is not None:
-        b_extra = system.stab.supg.transport(u_t) \
-            + system.stab.supg.jacobian(u_t)
+        b_extra = system.stab.supg.transport(u_t).evaluate(g, mu) \
+            + system.stab.supg.jacobian(u_t).evaluate(g, mu)
     return _named_saddle_matrix(system, mu, a_extra, b_extra)
 
 

@@ -7,16 +7,16 @@ import pytest
 
 from cavityrb.assembly import AffineOperator, StabilizationConfig
 from cavityrb.cli import main
-from cavityrb.hifi import SADDLE_BLOCKS, FeSolution, FlowSystem, ProblemConfig
+from cavityrb.hifi import (QUADRATIC_TERMS, SADDLE_BLOCKS, FeSolution,
+                           FlowSystem, ProblemConfig)
 from cavityrb.linalg import RCOND_TOL
-from cavityrb.rb import (_AXES, _LIFTING_RHS, _NS_TERMS, OPTIONS,
-                         GreedyTrace, ReducedModel, SupremizerOperator,
-                         _map_axes, build_reduced_model, fe_indicator,
-                         greedy_offline, load_model, modified_infsup,
+from cavityrb.rb import (_AXES, _LIFTING_RHS, OPTIONS, GreedyTrace,
+                         ReducedModel, SupremizerOperator, _map_axes,
+                         build_reduced_model, fe_indicator, greedy_offline,
+                         held_out_parameters, load_model, modified_infsup,
                          plain_infsup, reconstruct, save_model,
                          solve_reduced, training_grid, truncate_model,
                          with_option)
-from cavityrb.rb import test_parameters as draw_test_parameters
 from cavityrb.util import NonConvergenceError, SingularSystemError
 
 SEED = 7
@@ -85,12 +85,12 @@ def test_training_grid_is_deterministic_and_inside_box():
 
 def test_test_parameters_exclude_and_reproduce():
     train = training_grid((0.25, 0.75), (1.0, 3.0), 9, 5)
-    test = draw_test_parameters((0.25, 0.75), (1.0, 3.0), 20, 6,
-                                exclude=train)
+    test = held_out_parameters((0.25, 0.75), (1.0, 3.0), 20, 6,
+                               exclude=train)
     assert len(test) == 20
     assert not set(test) & set(train)
-    assert test == draw_test_parameters((0.25, 0.75), (1.0, 3.0), 20, 6,
-                                        exclude=train)
+    assert test == held_out_parameters((0.25, 0.75), (1.0, 3.0), 20, 6,
+                                       exclude=train)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +403,9 @@ def _block_solve(model, mu):
     with right-hand side [fvisc + fstab, gplain + gstab], the
     stabilization terms only where the option keeps them, and for
     Navier-Stokes Newton on the block residual and Jacobian, started
-    from that Stokes solution."""
+    from that Stokes solution.  The Navier-Stokes blocks are the named
+    arrays of the lifting expansion, read as slices of the tensors on
+    [l | Z_v] (``_named_quadratic_arrays`` checks the slices)."""
     geom, n = model.geometry(), model.n_vel
     keep = model.stab_online
 
@@ -427,13 +429,16 @@ def _block_solve(model, mu):
                         np.concatenate([f, g]))
     if model.problem == "stokes":
         return x[:n], x[n:]
-    a = a + ev("dconv", np.s_[:n, :n])
-    conv = ev("conv", np.s_[:n, :n, :n])
-    f = f + ev("fconv", np.s_[:n])
+    z = np.s_[1:n + 1]                  # Z_v columns of [l | Z_v]
+    t = ev("conv", np.s_[:n])
+    a = a + t[:, 0, z] + t[:, z, 0]     # dconv
+    f = f - t[:, 0, 0]                  # fconv
+    conv = t[:, z, z]
     supg = keep and model.tn is not None
     if supg:
-        tn, tll = model.tn[:, :n, :n], model.tll
-        tl = model.tln[:, :n] + model.tzln[:, :n]
+        t = ev("tn")
+        tn, tll = t[:, z, z], t[:, 0, 0]
+        tl = t[:, 0, z] + t[:, z, 0]    # tln + tzln
 
     def residual(u, p):
         r_u = a @ u + np.einsum("ijk,j,k->i", conv, u, u) + bt @ p - f
@@ -471,8 +476,63 @@ def test_saddle_tables_name_model_arrays():
         assert _AXES[blk.name] == axes, blk.name
     for (rows, _), name in _LIFTING_RHS.items():
         assert name in fields and _AXES[name] == (rows,), name
-    for name, _, _ in _NS_TERMS:
-        assert name in fields and name in _AXES, name
+    for term in QUADRATIC_TERMS:
+        assert term.name in fields, term.name
+        assert _AXES[term.name] == (term.rows, "w", "w"), term.name
+
+
+def _named_quadratic_arrays(system, model):
+    """The seven arrays of the lifting expansion of the quadratic terms,
+    projected on the velocity basis Z alone: fconv = -Z^T C(l) l,
+    dconv = Z^T (C(l) + C'(l)) Z, conv[:, j, :] = Z^T C(z_j) Z and the
+    SUPG tll = Q^T T(l) l, tln = Q^T T(l) Z, tzln[:, j] = Q^T T(z_j) l,
+    tn[:, j, :] = Q^T T(z_j) Z."""
+    zv, zp, lvec = model.z_v, model.z_p, system.lifting.values
+    conv = system.convection
+    cl, dl = conv.matrix(lvec), conv.transport_jacobian(lvec)
+    out = {"fconv": AffineOperator([(tag, -(m @ lvec)) for tag, m in cl])
+           .project_vector(zv),
+           "dconv": AffineOperator([(tag, m1 + m2) for (tag, m1), (_, m2)
+                                    in zip(cl.terms, dl.terms)])
+           .project(zv, zv)}
+    cz = [conv.matrix(zv[:, j]).project(zv, zv) for j in range(zv.shape[1])]
+    out["conv"] = AffineOperator(
+        [(tag, np.stack([c.terms[e][1] for c in cz], axis=1))
+         for e, (tag, _) in enumerate(cl.terms)])
+
+    def transport(w):
+        (tag, m), = system.stab.supg.transport(w).terms
+        assert tag == "one"
+        return m
+    tl = transport(lvec)
+    tz = [transport(zv[:, j]) for j in range(zv.shape[1])]
+    out["tll"] = zp.T @ (tl @ lvec)
+    out["tln"] = zp.T @ (tl @ zv)
+    out["tzln"] = np.column_stack([zp.T @ (t @ lvec) for t in tz])
+    out["tn"] = np.stack([zp.T @ (t @ zv) for t in tz], axis=1)
+    return out
+
+
+def test_quadratic_tensors_slice_into_the_named_arrays(ns_rb):
+    # each quadratic term is stored once, as a tensor on [l | Z_v]; its
+    # slices are the seven arrays the lifting expansion used to store
+    system, model, _ = ns_rb
+    named = _named_quadratic_arrays(system, model)
+
+    def close(x, ref, name):
+        assert x.shape == ref.shape, name
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max(), name
+    for e, (tag, t) in enumerate(model.conv):
+        for name, part in (("fconv", -t[:, 0, 0]),
+                           ("dconv", t[:, 0, 1:] + t[:, 1:, 0]),
+                           ("conv", t[:, 1:, 1:])):
+            assert named[name].terms[e][0] == tag
+            close(part, named[name].terms[e][1], name)
+    (tag, t), = model.tn
+    assert tag == "one"
+    for name, part in (("tll", t[:, 0, 0]), ("tln", t[:, 0, 1:]),
+                       ("tzln", t[:, 1:, 0]), ("tn", t[:, 1:, 1:])):
+        close(part, named[name], name)
 
 
 @pytest.mark.parametrize("case", ["stokes_rb", "p2p2_rho_rb", "p1p0_rb",
@@ -724,17 +784,19 @@ def test_loaded_model_solves_identically(tmp_path, stokes_rb):
 
 @pytest.mark.parametrize("header", ["format = cavityrb-rbm-1",
                                     "format = cavityrb-rbm-2",
-                                    "format = cavityrb-rbm-3", None])
+                                    "format = cavityrb-rbm-3",
+                                    "format = cavityrb-rbm-4", None])
 def test_load_model_refuses_other_formats(tmp_path, stokes_rb, header):
     # earlier files hold stabilization terms projected from the
     # reference-domain blocks (rbm-1), the full-order supremizers
-    # (rbm-2) or the momentum-row stabilization lifting inside the
-    # Galerkin fvisc (rbm-3); they must not load as current models
+    # (rbm-2), the momentum-row stabilization lifting inside the
+    # Galerkin fvisc (rbm-3) or the quadratic terms as seven arrays on
+    # the velocity basis (rbm-4); they must not load as current models
     _, model, _ = stokes_rb
     path = tmp_path / "model.rbm"
     save_model(model, path)
     lines = path.read_text().splitlines()
-    idx = lines.index("format = cavityrb-rbm-4")
+    idx = lines.index("format = cavityrb-rbm-5")
     if header is None:
         del lines[idx]
     else:
@@ -752,7 +814,7 @@ def test_load_model_refuses_incomplete_files(tmp_path, stokes_rb, damage):
     save_model(model, path)
     lines = path.read_text().splitlines()
     if damage == "bare":
-        lines = ["format = cavityrb-rbm-4", "arrays = 0"]
+        lines = ["format = cavityrb-rbm-5", "arrays = 0"]
     elif damage == "no_header_key":
         lines = [ln for ln in lines if not ln.startswith("n_u = ")]
     elif damage == "no_array":
