@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import sys
 from dataclasses import dataclass, field
 
@@ -40,7 +41,8 @@ from .hifi import QUADRATIC_TERMS, SADDLE_BLOCKS, FeSolution, FlowSystem
 from .fespace import FeFunction
 from .linalg import (SparseLU, dense_lu_solve, modified_gram_schmidt,
                      smallest_gsv)
-from .util import NonConvergenceError, SingularSystemError, parallel_map
+from .util import (NonConvergenceError, SingularSystemError, fmt17,
+                   parallel_map)
 
 OPTIONS = ("i", "ii", "iii", "iv")
 
@@ -591,6 +593,9 @@ def greedy_offline(system: FlowSystem, n_max: int, train_size: int,
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    # free earlier stages' reference cycles now: a run allocates few
+    # containers, so the cyclic collector may skip many offline builds
+    gc.collect()
     cfg = system.config
     train = training_grid(cfg.mu1_range, cfg.mu2_range, train_size, seed)
     nu_dof = system.velocity_space.dof_count
@@ -688,7 +693,7 @@ def modified_infsup(model: ReducedModel, mu) -> float:
 # serialization
 
 
-_RBM_FORMAT = "cavityrb-rbm-5"
+_RBM_FORMAT = "cavityrb-rbm-6"
 
 # header fields: every ReducedModel field that is not an array
 _HEADER = tuple(f for f in dataclasses.fields(ReducedModel)
@@ -698,109 +703,98 @@ _REQUIRED = tuple(f.name for f in dataclasses.fields(ReducedModel)
                   if f.name in _AXES and "None" not in f.type)
 _PARSE = {"str": str, "float": float, "int": int,
           "tuple": lambda text: tuple(float(x) for x in text.split())}
-
-
-def _fmt(x) -> str:
-    if isinstance(x, tuple):
-        return " ".join(_fmt(v) for v in x)
-    return f"{x:.17g}" if isinstance(x, float) else str(x)
+_ALIGN = 64     # the blob starts on a multiple of this many bytes
 
 
 def save_model(model: ReducedModel, path, config_echo: dict | None = None):
-    """Self-describing text serialization (17-significant-digit floats).
+    """Self-describing serialization: an ASCII header, then one blob.
 
-    Writes every stored array and the option of ``model``; the loaded
-    model can again take any option.
+    The header holds the config echo, the format, the scalar fields and
+    a table of arrays (name, shape, byte offset into the blob); newlines
+    pad it to a multiple of 64 bytes.  The blob holds every stored array
+    in ``_AXES`` order as little-endian float64.  The option of
+    ``model`` is kept; the loaded model can again take any option.
     """
     arrays: list[tuple[str, np.ndarray]] = []
     for name in _AXES:
         value = getattr(model, name)
-        if value is None:
-            continue
         if isinstance(value, AffineOperator):
             # index before tag keeps the summation order on reload
-            items = [(f"{name}.{k}.{tag}", m)
-                     for k, (tag, m) in enumerate(value.terms)]
-        else:
-            items = [(name, value)]
-        for key, m in items:
-            a = np.asarray(m, dtype=float)
-            arrays.append((key, a.reshape(len(a) if a.ndim > 1 else 1, -1)))
+            arrays += [(f"{name}.{k}.{tag}", m)
+                       for k, (tag, m) in enumerate(value.terms)]
+        elif value is not None:
+            arrays.append((name, value))
+    blobs = [np.asarray(m, dtype="<f8").tobytes() for _, m in arrays]
 
     lines = [f"# reduced model ({_RBM_FORMAT})"]
-    for key, value in (config_echo or {}).items():
-        lines.append(f"# {key} = {value}")
+    lines += [f"# {k} = {v}" for k, v in (config_echo or {}).items()]
     lines.append(f"format = {_RBM_FORMAT}")
     for f in _HEADER:
-        lines.append(f"{f.name} = {_fmt(getattr(model, f.name))}")
+        value = getattr(model, f.name)
+        value = (" ".join(map(fmt17, value)) if f.type == "tuple"
+                 else fmt17(value) if f.type == "float" else value)
+        lines.append(f"{f.name} = {value}")
     lines.append(f"arrays = {len(arrays)}")
-    for name, a in arrays:
-        lines.append(f"{name} {a.shape[0]} {a.shape[1]}")
-        if a.shape[1] > 0:
-            # one format per row: the bytes of f"{x:.17g}" per float
-            fmt = " ".join(["%.17g"] * a.shape[1])
-            lines.extend(fmt % tuple(row) for row in a.tolist())
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    offsets = np.cumsum([0] + [len(blob) for blob in blobs])
+    lines += [" ".join([key, *map(str, np.shape(m)), str(at)])
+              for (key, m), at in zip(arrays, offsets)]
+    head = ("\n".join(lines) + "\n").encode("ascii")
+    with open(path, "wb") as fh:
+        fh.writelines([head, b"\n" * (-len(head) % _ALIGN), *blobs])
 
 
 def load_model(path):
     """Inverse of save_model; returns (ReducedModel, embedded config dict)."""
     header: dict[str, str] = {}
     echo: dict[str, str] = {}
+    with open(path, "rb") as fh:
+        def line() -> str:
+            text = fh.readline()
+            if not text.endswith(b"\n"):
+                raise ValueError("model file ends inside its header")
+            return text.decode("ascii").strip()
+
+        while "arrays" not in header:
+            text = line()
+            key, eq, value = text.lstrip("#").partition("=")
+            into = echo if text.startswith("#") else header
+            if eq:
+                into[key.strip()] = value.strip()
+            elif text and into is header:
+                raise ValueError(f"malformed model header line: {text!r}")
+        if header.get("format") != _RBM_FORMAT:
+            # earlier files hold stabilization terms projected from other
+            # operators (rbm-1: reference-domain blocks), the full-order
+            # supremizers (rbm-2), Suv l inside the Galerkin fvisc (rbm-3),
+            # the quadratic terms as seven arrays on Z_v alone (rbm-4), or
+            # this format's arrays as 17-digit text lines (rbm-5)
+            raise ValueError(f"unsupported model format "
+                             f"{header.get('format')!r}; expected {_RBM_FORMAT}")
+        table = [line().split() for _ in range(int(header["arrays"]))]
+        if fh.read(-fh.tell() % _ALIGN).strip(b"\n"):
+            raise ValueError("model header is not padded with newlines")
+        blob = fh.read()
+
+    # the table must tile the blob: each array starts where the one
+    # before it ends, the first at 0, and the last ends the file
     arrays: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    i = 0
-    n_arrays = None
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                echo[key.strip()] = value.strip()
-            continue
-        if "=" in line:
-            key, _, value = line.partition("=")
-            header[key.strip()] = value.strip()
-            if key.strip() == "arrays":
-                n_arrays = int(value)
-                break
-        else:
-            raise ValueError(f"malformed model header line: {line!r}")
-    if n_arrays is None:
-        raise ValueError("model file lacks the arrays count")
-    if header.get("format") != _RBM_FORMAT:
-        # earlier formats carry stabilization terms projected from other
-        # operators (cavityrb-rbm-1: reference-domain residual blocks),
-        # the full-order supremizers (cavityrb-rbm-2), the momentum-row
-        # stabilization lifting inside the Galerkin fvisc (cavityrb-rbm-3)
-        # or the quadratic terms as seven arrays on the velocity basis
-        # alone, fconv/dconv/conv and tll/tln/tzln/tn (cavityrb-rbm-4)
-        raise ValueError(f"unsupported model format "
-                         f"{header.get('format')!r}; expected {_RBM_FORMAT}")
-    for _ in range(n_arrays):
-        while i < len(lines) and not lines[i].strip():
-            i += 1
-        if i >= len(lines):
-            raise ValueError("model file ends before its last array")
-        name, rows, cols = lines[i].split()
-        rows, cols = int(rows), int(cols)
-        i += 1
-        if name.partition(".")[0] not in _AXES:
+    end = 0
+    for name, *shape, offset in table:
+        axes = _AXES.get(name.partition(".")[0])
+        if axes is None:
             raise ValueError(f"unknown model array {name!r}")
-        if cols > 0 and i + rows > len(lines):
+        shape = tuple(int(d) for d in shape)
+        if len(shape) != len(axes) or min(shape) < 0 or int(offset) != end:
+            raise ValueError(f"malformed model array entry {name!r}")
+        count = int(np.prod(shape))
+        if end + 8 * count > len(blob):
             raise ValueError(f"model file ends inside array {name!r}")
-        data = np.zeros((rows, cols))
-        if cols > 0:
-            for r in range(rows):
-                data[r] = np.array(lines[i].split(), dtype=float)
-                i += 1
-        arrays[name] = data
+        arrays[name] = np.frombuffer(blob, "<f8", count, end) \
+            .reshape(shape).astype(float)
+        end += 8 * count
+    if end != len(blob):
+        raise ValueError(f"model file has {len(blob) - end} bytes after "
+                         f"its last array")
     present = {key.partition(".")[0] for key in arrays}
     missing = [f.name for f in _HEADER if f.name not in header] \
         + [name for name in _REQUIRED if name not in present]
@@ -813,8 +807,9 @@ def load_model(path):
     terms: dict[str, list] = {}
     for key, data in arrays.items():
         name, _, term = key.partition(".")
-        data = data.reshape([-1 if k is None else dims[k]
-                             for k in _AXES[name]])
+        if any(k is not None and d != dims[k]
+               for k, d in zip(_AXES[name], data.shape)):
+            raise ValueError(f"model array {key!r} has shape {data.shape}")
         if term:
             idx, tag = term.split(".", 1)
             terms.setdefault(name, []).append((int(idx), tag, data))
@@ -824,6 +819,11 @@ def load_model(path):
         found.sort(key=lambda t: t[0])
         values[name] = AffineOperator([(tag, m) for _, tag, m in found])
     scalars = {f.name: _PARSE[f.type](header[f.name]) for f in _HEADER}
+    n_u, sizes = scalars["n_u"], values["sizes"]
+    if not (1 <= n_u <= dims["v"] and len(sizes)
+            and tuple(sizes[-1]) == (n_u, dims["p"])):
+        raise ValueError(f"model n_u = {n_u} does not fit its bases and "
+                         f"greedy sizes")
     model = ReducedModel(**scalars, **values)
     # refuses an option the stored bases cannot serve
     return with_option(model, model.option), echo

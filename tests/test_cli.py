@@ -170,7 +170,7 @@ def test_missing_model_exits_2(tmp_path, capsys):
 def test_old_format_model_exits_2(tmp_path, capsys):
     path = write_config(tmp_path)
     model = tmp_path / "model.rbm"
-    for old in ("cavityrb-rbm-1", "cavityrb-rbm-4"):
+    for old in ("cavityrb-rbm-1", "cavityrb-rbm-4", "cavityrb-rbm-5"):
         model.write_text(f"format = {old}\narrays = 0\n")
         code = main(["online", "--config", path, "--model", str(model)])
         assert code == 2
@@ -181,7 +181,7 @@ def test_incomplete_model_exits_2(tmp_path, capsys):
     # the current format line, but no header keys and no arrays
     path = write_config(tmp_path)
     model = tmp_path / "model.rbm"
-    model.write_text("format = cavityrb-rbm-5\narrays = 0\n")
+    model.write_text("format = cavityrb-rbm-6\narrays = 0\n")
     code = main(["online", "--config", path, "--model", str(model)])
     assert code == 2
     err = capsys.readouterr().err
@@ -301,6 +301,20 @@ def test_online_option_iv_refused(pipeline, capsys):
     assert code == 3
     assert "inf-sup" in capsys.readouterr().err
     assert not (out / "iv" / "online.txt").exists()
+
+
+def test_model_with_corrupted_n_u_exits_2(pipeline, tmp_path, capsys):
+    # a header n_u beyond the stored velocity basis, edited in place
+    cfg, out = pipeline
+    raw = read_bytes(out / "model.rbm")
+    assert raw.count(b"\nn_u = 3\n") == 1
+    model = tmp_path / "model.rbm"
+    model.write_bytes(raw.replace(b"\nn_u = 3\n", b"\nn_u = 9\n"))
+    code = main(["online", "--config", cfg, "--out", str(tmp_path),
+                 "--model", str(model)])
+    assert code == 2
+    assert "n_u = 9" in capsys.readouterr().err
+    assert not (tmp_path / "online.txt").exists()
 
 
 def test_sweep_artifact(pipeline, capsys):
