@@ -262,8 +262,7 @@ def cmd_fe_solve(rc: RunConfig, args) -> int:
 
 def cmd_offline(rc: RunConfig, args) -> int:
     system = build_system(rc)
-    model, trace = greedy_offline(system, rc.n_max, rc.train_size,
-                                  rc.seed, threads=rc.threads)
+    model, trace = greedy_offline(system, rc.n_max, rc.train_size, rc.seed)
     out = _out_dir(args)
     save_model(model, os.path.join(out, "model.rbm"),
                config_echo=dict(rc.echo_items()))
@@ -377,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output directory (default: cwd)")
     common.add_argument("--seed", type=int, help="run seed (overrides config)")
     common.add_argument("--threads", type=int,
-                        help="worker threads (never affects output bytes)")
+                        help="worker threads for the sweep's truth solves and "
+                             "points (never affects output bytes)")
 
     parser = argparse.ArgumentParser(
         prog="cavityrb",

@@ -270,12 +270,18 @@ class FlowSystem:
 
     def _linear_residual(self, mu, state: dict) -> dict:
         """sum sign theta_q(mu) M_q x over ``_linear_terms``, by row space
-        (every velocity dof, every pressure dof)."""
+        (every dof); k state columns take k parameters, one per column."""
         g = self.geometry
-        out = {"v": np.zeros(self.velocity_space.dof_count),
-               "p": np.zeros(self.n_pressure)}
+        cols = np.shape(state["v"])[1:]
+        out = {"v": np.zeros((self.velocity_space.dof_count, *cols)),
+               "p": np.zeros((self.n_pressure, *cols))}
         for rows, _, tag, sign, vec in self._linear_terms(state):
-            out[rows] += (sign * g.theta(tag, mu)) * vec
+            if cols:    # a weight per column; a body force is one column
+                w = np.array([g.theta(tag, m) for m in mu])
+                vec = vec.reshape(len(vec), -1)
+            else:
+                w = g.theta(tag, mu)
+            out[rows] += (sign * w) * vec
         return out
 
     def lifting_rhs(self) -> dict:
@@ -355,18 +361,27 @@ class FlowSystem:
         the QUADRATIC_TERMS and body forces; stacks the free momentum
         rows, the (stabilized) continuity rows and the mean constraint.
         This is the quantity Newton drives to zero and the one the greedy
-        error indicator measures.
+        error indicator measures.  States stacked as k columns take k
+        parameters and give k residual columns; the quadratic terms are
+        assembled column by column.
         """
         g = self.geometry
-        u_t = u_homog + self.lifting.values
+        batched = np.ndim(u_homog) == 2
+        lift, mean = self.lifting.values, self.mean_vector
+        if batched:     # the lifting and the mean enter every column
+            lift, mean = lift[:, None], mean[:, None]
+        mus = mu if batched else [mu]
+        columns = np.transpose if batched else (lambda a: a[None])
+        u_t = u_homog + lift
         r = self._linear_residual(mu, {"v": u_t, "p": p})
         for name, rows, _, sign, _, _ in QUADRATIC_TERMS:
             if name in self.quadratic:
-                for tag, m in self.quadratic[name][0](u_t):
-                    r[rows] += (sign * g.theta(tag, mu)) * (m @ u_t)
-        r["p"] += lam * self.mean_vector
+                for m_j, u_j, r_j in zip(mus, columns(u_t), columns(r[rows])):
+                    for tag, m in self.quadratic[name][0](u_j):
+                        r_j += (sign * g.theta(tag, m_j)) * (m @ u_j)
+        r["p"] += lam * mean
         return np.concatenate([r["v"][self.free], r["p"],
-                               [self.mean_vector @ p]])
+                               (self.mean_vector @ p)[None]])
 
     def residual_reference(self, mu) -> float:
         """Residual norm of the zero homogeneous state (RHS scale)."""

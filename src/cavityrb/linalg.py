@@ -142,14 +142,6 @@ def _rcond(a: scipy.sparse.csc_matrix, lu) -> float:
         return float(1.0 / (scipy.sparse.linalg.norm(a, 1) * est))
 
 
-def gram_inner(gram, x: np.ndarray, y: np.ndarray) -> float:
-    return float(x @ (gram @ y))
-
-
-def gram_norm(gram, x: np.ndarray) -> float:
-    return float(np.sqrt(max(gram_inner(gram, x, x), 0.0)))
-
-
 def modified_gram_schmidt(vectors, gram, drop_tol: float = 1e-10,
                           against: np.ndarray | None = None):
     """Gram-orthonormalize a sequence of vectors.
@@ -159,32 +151,36 @@ def modified_gram_schmidt(vectors, gram, drop_tol: float = 1e-10,
     the first input vector's norm is dropped as linearly dependent;
     drops are reported through the returned index list, never raised.
     ``against`` supplies already-G-orthonormal columns projected out
-    first (and kept out of the returned basis).
+    first (and kept out of the returned basis).  The image G u of each
+    ``against`` and basis column is formed once: an inner product
+    (u, v)_G is the dense dot (G u) . v.
 
     Returns (basis, kept) where basis is (n, k) with G-orthonormal
     columns and kept lists the indices of the surviving inputs.
     """
-    fixed = [] if against is None else [against[:, j]
-                                        for j in range(against.shape[1])]
-    basis: list[np.ndarray] = []
+    columns = [] if against is None else list(against.T)
+    images = [gram @ u for u in columns]
+    n_fixed = len(columns)
     kept: list[int] = []
     ref = 0.0
     for idx, v in enumerate(vectors):
         v = np.asarray(v, dtype=float).copy()
+        nrm = float(np.sqrt(max(v @ (gram @ v), 0.0)))
         if idx == 0:
-            ref = gram_norm(gram, v)
-        if gram_norm(gram, v) == 0.0:
+            ref = nrm
+        if nrm == 0.0:
             continue
         for _ in range(2):
-            for u in fixed:
-                v -= gram_inner(gram, u, v) * u
-            for u in basis:
-                v -= gram_inner(gram, u, v) * u
-        nrm = gram_norm(gram, v)
+            for u, gu in zip(columns, images):
+                v -= (gu @ v) * u
+        gv = gram @ v
+        nrm = float(np.sqrt(max(v @ gv, 0.0)))
         if nrm <= drop_tol * ref:
             continue
-        basis.append(v / nrm)
+        columns.append(v / nrm)
+        images.append(gv / nrm)
         kept.append(idx)
+    basis = columns[n_fixed:]
     n = len(vectors[0]) if len(vectors) else 0
     out = np.column_stack(basis) if basis else np.zeros((n, 0))
     return out, kept

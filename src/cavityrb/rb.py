@@ -3,7 +3,8 @@
 Offline: greedy snapshot selection driven by the relative algebraic
 residual of the stabilized FE system, supremizer enrichment of the
 velocity space, Gram-Schmidt orthonormalization, and projection of all
-affine operators.
+affine operators; a greedy step measures every training point with one
+column-stacked FE residual.
 
 Online: one dense solve under four formulations,
     (i)   enriched velocity space, stabilization terms kept,
@@ -41,8 +42,7 @@ from .hifi import QUADRATIC_TERMS, SADDLE_BLOCKS, FeSolution, FlowSystem
 from .fespace import FeFunction
 from .linalg import (SparseLU, dense_lu_solve, modified_gram_schmidt,
                      smallest_gsv)
-from .util import (NonConvergenceError, SingularSystemError, fmt17,
-                   parallel_map)
+from .util import NonConvergenceError, SingularSystemError, fmt17
 
 OPTIONS = ("i", "ii", "iii", "iv")
 
@@ -579,8 +579,32 @@ def _snapshot(system: FlowSystem, model: ReducedModel | None, mu) -> FeSolution:
         return system.solve(mu)
 
 
+def _indicators(system: FlowSystem, views: list, train: list,
+                ref: np.ndarray) -> np.ndarray:
+    """``fe_indicator`` of the worst view at every training point, from
+    one column-stacked residual of every reconstructed reduced solution;
+    ``ref`` holds the reference norms.  A failed reduced solve reads inf."""
+    values = np.full((len(views), len(train)), np.inf)
+    us, ps, at = [], [], []
+    for i, view in enumerate(views):
+        for k, mu in enumerate(train):
+            try:
+                u, p, _ = solve_reduced(view, mu)
+            except (SingularSystemError, NonConvergenceError):
+                continue
+            us.append(view.z_velocity() @ u)
+            ps.append(view.z_p @ p)
+            at.append((i, k))
+    if at:
+        rows, cols = np.array(at).T
+        r = system.residual([train[k] for k in cols], np.column_stack(us),
+                            np.column_stack(ps))
+        values[rows, cols] = np.linalg.norm(r, axis=0) / ref[cols]
+    return values.max(axis=0)
+
+
 def greedy_offline(system: FlowSystem, n_max: int, train_size: int,
-                   seed: int, threads: int = 1):
+                   seed: int):
     """Greedy snapshot selection; returns (master model, trace).
 
     The first parameter is the box center; afterwards each iteration
@@ -588,8 +612,10 @@ def greedy_offline(system: FlowSystem, n_max: int, train_size: int,
     the FE residual indicator is worst.  One model serves every online
     option, so with stabilization the indicator is the worse of options
     i and ii (the two that keep it online); without, option i alone.
-    The FE snapshot solve always uses the configured (stabilized)
-    formulation; for Navier-Stokes it is warm-started (``_snapshot``).
+    A step takes one column-stacked residual (``_indicators``).  The FE
+    snapshot solve always uses the configured (stabilized) formulation;
+    for Navier-Stokes it is warm-started (``_snapshot``).  A step that
+    drops every supremizer ends the greedy with the model before it.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -600,6 +626,9 @@ def greedy_offline(system: FlowSystem, n_max: int, train_size: int,
     train = training_grid(cfg.mu1_range, cfg.mu2_range, train_size, seed)
     nu_dof = system.velocity_space.dof_count
     np_dof = system.pressure_space.dof_count
+    ref = np.linalg.norm(system.residual(
+        train, np.zeros((nu_dof, len(train))),
+        np.zeros((np_dof, len(train)))), axis=0)
     u_snaps = np.zeros((nu_dof, 0))
     p_snaps = np.zeros((np_dof, 0))
     sup_raw = np.zeros((nu_dof, 0))
@@ -621,15 +650,19 @@ def greedy_offline(system: FlowSystem, n_max: int, train_size: int,
         sup_raw = np.column_stack([sup_raw, sup_op.solve(p, next_mu)])
         mus.append(tuple(next_mu))
         indicators.append(next_ind)
-        model = build_reduced_model(system, np.array(mus), u_snaps, p_snaps,
+        built = build_reduced_model(system, np.array(mus), u_snaps, p_snaps,
                                     sup_raw, np.array(indicators), seed)
+        if model is not None and built.z_v.shape[1] == built.n_u:
+            print(f"warning: greedy stopped at n={n - 1}: every supremizer "
+                  f"of {n} snapshots lies in the velocity basis",
+                  file=sys.stderr)
+            break
+        model = built
         rows.append((n, next_mu[0], next_mu[1], next_ind))
         if n == n_max:
             break
-        views = [with_option(model, opt) for opt in certified]
-        inds = parallel_map(
-            lambda m: max(fe_indicator(system, v, m) for v in views),
-            train, threads)
+        inds = _indicators(system, [with_option(model, opt)
+                                    for opt in certified], train, ref)
         k = int(np.argmax(inds))
         if tuple(train[k]) in set(mus):
             # A re-pick while the indicator still exceeds the

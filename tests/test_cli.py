@@ -276,6 +276,24 @@ def test_offline_artifacts(pipeline):
     assert data[0].startswith("1,0.5,2,1")
 
 
+def test_offline_without_new_supremizers_stops_cleanly(tmp_path, capsys):
+    # on 4x2 P1P1 the sixth snapshot's supremizers all lie in the
+    # velocity basis: the greedy stops at five and the model serves i
+    text = TINY_CONFIG.replace("n_max = 3", "n_max = 12") \
+        .replace("train_size = 9", "train_size = 25") \
+        .replace("mesh.nx = 8", "mesh.nx = 4").replace("mesh.ny = 4",
+                                                       "mesh.ny = 2") \
+        .replace("seed = 11", "seed = 42")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["offline", "--config", cfg, "--out", str(out)]) == 0
+    assert "greedy stopped at n=5" in capsys.readouterr().err
+    rows = read_bytes(out / "trace.csv").decode("ascii").split("\r\n")
+    assert [l for l in rows if l[:1].isdigit()][-1].startswith("5,")
+    assert main(["online", "--config", cfg, "--out", str(out),
+                 "--option", "i"]) == 0
+
+
 def test_online_reproduces_training_point(pipeline, capsys):
     cfg, out = pipeline
     code = main(["online", "--config", cfg, "--out", str(out),

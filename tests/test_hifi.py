@@ -530,3 +530,39 @@ def test_saddle_table_matches_named_blocks(problem, pair, method, delta,
             u_t = u + system.lifting.values
             assert _rel(system._saddle_matrix(mu, u_t),
                         _named_jacobian(system, mu, u_t)) <= 1e-13
+
+
+@pytest.mark.parametrize("problem,pair,method,delta,rho,forced", [
+    ("stokes", "P1P1", "BrezziPitkaranta", 0.05, 0.0, False),
+    ("stokes", "P2P2", "ResidualBased", 0.05, 0.0, False),
+    ("stokes", "P2P2", "ResidualBased", 0.05, 1.0, False),
+    ("stokes", "P2P2", "ResidualBased", 0.05, 1.0, True),
+    ("stokes", "P1P0", "EdgeJumpP1P0", 0.05, 0.0, False),
+    ("stokes", "P2P1", "None", 0.0, 0.0, False),
+    ("navier_stokes", "P2P2", "SUPGFamily", 1.0, 0.0, False),
+])
+def test_column_stacked_residual_matches_each_column(problem, pair, method,
+                                                     delta, rho, forced):
+    # one call on k states with one parameter per column gives the k
+    # residuals of the one-state call; the zero state gives the reference
+    def force(x, y):
+        return (np.sin(x) * y, x - y * y)
+
+    cfg = ProblemConfig(problem, pair,
+                        StabilizationConfig(method, delta, rho=rho))
+    system = FlowSystem(cfg, 8, 4, body_force=force if forced else None)
+    rng = np.random.default_rng(6)
+    k = 5
+    mus = [(rng.uniform(*cfg.mu1_range), rng.uniform(*cfg.mu2_range))
+           for _ in range(k)]
+    u = np.zeros((system.velocity_space.dof_count, k))
+    u[system.free, 1:] = rng.standard_normal((system.n_free, k - 1))
+    p = np.zeros((system.n_pressure, k))
+    p[:, 1:] = rng.standard_normal((system.n_pressure, k - 1))
+    got = system.residual(mus, u, p)
+    assert got.shape == (system.n_free + system.n_pressure + 1, k)
+    for j, mu in enumerate(mus):
+        assert _rel(got[:, j], system.residual(mu, u[:, j], p[:, j])) \
+            <= 1e-14
+    assert np.linalg.norm(got[:, 0]) == pytest.approx(
+        system.residual_reference(mus[0]), rel=1e-14)

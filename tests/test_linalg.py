@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from cavityrb.assembly import assemble_gram
+from cavityrb.fespace import make_space
 from cavityrb.linalg import (RCOND_TOL, CsrPattern, SparseLU, dense_lu_solve,
                              modified_gram_schmidt, smallest_gsv)
+from cavityrb.mesh import build_rect_mesh
 from cavityrb.util import SingularSystemError
 
 
@@ -200,6 +203,69 @@ def test_mgs_drop_relative_to_first_vector():
     tiny = np.array([0.0, 1e-12])
     _, kept = modified_gram_schmidt([big, tiny], euclid())
     assert kept == [0]
+
+
+def _mgs_matvec_oracle(vectors, gram, drop_tol=1e-10, against=None):
+    """Modified Gram-Schmidt as it was before the Gram images: one
+    sparse product with G per inner product, (u, v)_G = u . (G v)."""
+    def inner(x, y):
+        return float(x @ (gram @ y))
+
+    def norm(x):
+        return float(np.sqrt(max(inner(x, x), 0.0)))
+
+    fixed = [] if against is None else [against[:, j]
+                                        for j in range(against.shape[1])]
+    basis, kept, ref = [], [], 0.0
+    for idx, v in enumerate(vectors):
+        v = np.asarray(v, dtype=float).copy()
+        if idx == 0:
+            ref = norm(v)
+        if norm(v) == 0.0:
+            continue
+        for _ in range(2):
+            for u in fixed:
+                v -= inner(u, v) * u
+            for u in basis:
+                v -= inner(u, v) * u
+        nrm = norm(v)
+        if nrm <= drop_tol * ref:
+            continue
+        basis.append(v / nrm)
+        kept.append(idx)
+    return (np.column_stack(basis) if basis
+            else np.zeros((len(vectors[0]), 0))), kept
+
+
+@pytest.mark.parametrize("family", ["P1", "P2"])
+def test_mgs_gram_images_match_matvec_oracle(family):
+    # H1-seminorm Gram of a velocity space, homogeneous-Dirichlet
+    # vectors; a repeat, a combination and a zero vector are dropped
+    space = make_space(build_rect_mesh(2.0, 1.0, 8, 4), family, 2)
+    gram = assemble_gram(space, "h1semi")
+    free = space.free_dofs()
+    rng = np.random.default_rng(21)
+
+    def free_vector():
+        v = np.zeros(space.dof_count)
+        v[free] = rng.standard_normal(free.size)
+        return v
+
+    vecs = [free_vector() for _ in range(6)]
+    vecs[2:2] = [vecs[0].copy(), vecs[0] - 2.0 * vecs[1],
+                 np.zeros(space.dof_count)]
+    basis, kept = modified_gram_schmidt(vecs, gram)
+    want, want_kept = _mgs_matvec_oracle(vecs, gram)
+    assert kept == want_kept == [0, 1, 5, 6, 7, 8]
+    assert np.abs(basis - want).max() <= 1e-12 * np.abs(want).max()
+    # against the basis: a vector in its span is dropped
+    more = [free_vector(), basis[:, 0] + basis[:, 3], free_vector(),
+            free_vector()]
+    got, got_kept = modified_gram_schmidt(more, gram, against=basis)
+    want, want_kept = _mgs_matvec_oracle(more, gram, against=basis)
+    assert got_kept == want_kept == [0, 2, 3]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(basis.T @ (gram @ got)).max() <= 1e-10
 
 
 def test_smallest_gsv_identity():

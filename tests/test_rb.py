@@ -114,18 +114,45 @@ def test_greedy_trace_structure(stokes_rb):
     assert all(i > 1e-8 for i in inds)
 
 
+def _check_every_pick(system, model, trace):
+    """Each greedy pick is the argmax over the training set of the
+    worse ``fe_indicator`` of the options that keep the stabilization,
+    on the model of the snapshots before it, and the trace records it."""
+    cfg = system.config
+    train = training_grid(cfg.mu1_range, cfg.mu2_range, trace.train_size,
+                          trace.seed)
+    for n in range(1, len(trace.rows)):
+        views = [with_option(_prefix_rebuild(system, model, n), opt)
+                 for opt in ("i", "ii")]
+        worst = [max(fe_indicator(system, v, mu) for v in views)
+                 for mu in train]
+        k = int(np.argmax(worst))
+        assert trace.rows[n][1:3] == tuple(train[k]), n
+        assert trace.rows[n][3] == pytest.approx(worst[k], rel=1e-12), n
+
+
 def test_greedy_indicator_covers_options_i_and_ii(stokes_rb):
     # one model serves both stabilized online options, so each pick is
     # the training point where the worse of the two residuals is largest
-    system, model, trace = stokes_rb
-    cfg = system.config
-    train = training_grid(cfg.mu1_range, cfg.mu2_range, 16, SEED)
-    first = truncate_model(model, 1)
-    views = [with_option(first, opt) for opt in ("i", "ii")]
-    worst = [max(fe_indicator(system, v, mu) for v in views) for mu in train]
-    k = int(np.argmax(worst))
-    assert trace.rows[1][1:3] == tuple(train[k])
-    assert trace.rows[1][3] == pytest.approx(worst[k], rel=1e-12)
+    _check_every_pick(*stokes_rb)
+
+
+def test_greedy_indicator_covers_options_i_and_ii_navier_stokes(ns_rb):
+    _check_every_pick(*ns_rb)
+
+
+def test_greedy_stops_before_a_step_without_supremizers(capsys):
+    # 4x2 P1P1 has 6 free velocity dofs: at step 6 the velocity basis
+    # spans them all and every supremizer is dropped, so the greedy
+    # returns the step-5 model, which still serves option i
+    cfg = ProblemConfig("stokes", "P1P1",
+                        StabilizationConfig("BrezziPitkaranta", 0.05))
+    system = FlowSystem(cfg, 4, 2)
+    model, trace = greedy_offline(system, n_max=12, train_size=25, seed=42)
+    assert "greedy stopped at n=5" in capsys.readouterr().err
+    assert len(trace.rows) == len(model.mus) == model.n_u == 5
+    assert model.n_s >= 1
+    solve_reduced(with_option(model, "i"), MU)
 
 
 def test_greedy_rejects_bad_budget(stokes_rb):
