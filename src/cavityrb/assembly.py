@@ -5,8 +5,11 @@ parameter enters only through scalar coefficients (the map stretches x
 by a(mu2), giving the viscous tensor nu*diag(1/a, a) and the divergence
 tensor diag(1, a)).  Each form is returned as an AffineOperator: a list
 of (theta-tag, matrix) terms whose weighted sum reproduces the mapped
-operator at any parameter; so are the matrices Q(w) of the quadratic
-terms Q(u)u (convection, SUPG transport) at a transporting field w.
+operator at any parameter.  The quadratic terms Q(u)u (convection, SUPG
+transport) are kernels at quadrature points instead: they apply the term
+to stacked columns and contract its reduced tensor from per-cell
+quadrature data, and assemble the matrices Q(w) and the transport
+Jacobian, AffineOperators too, for Newton only.
 How the blocks enter the saddle system (sign, Galerkin or stabilization)
 is not decided here but in ``hifi.SADDLE_BLOCKS`` and
 ``hifi.QUADRATIC_TERMS``; right-hand sides are not assembled here
@@ -294,35 +297,146 @@ def assemble_momentum_stab_body_force(vel: FunctionSpace, force,
 
 
 # ---------------------------------------------------------------------------
-# convective tables and assemblers
+# quadratic terms at quadrature points
+
+# the largest temporary a quadratic kernel forms: the action works on
+# chunks of columns and the reduced tensor on blocks of cells this size
+_BLOCK_BYTES = 1 << 21
 
 
-def _nodal(vel: FunctionSpace, w: np.ndarray) -> np.ndarray:
-    cd = vel.cell_dofs
-    return np.stack([w[2 * cd], w[2 * cd + 1]], axis=-1)   # (t, n, 2)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
 
 
-class ConvectionAssembler:
-    """Trilinear form c(u, v, w) = int (u_x dv/dx + a u_y dv/dy) . w.
+class _QuadraticForm:
+    """A quadratic term of the velocity, applied at quadrature points.
 
-    Precomputes the per-cell tables E_e[t,p,q,r] = int N_p d_e N_q N_r,
-    from which the transport matrix C(w), the Jacobian block with
-    respect to the transporting argument, and lifting couplings all
-    follow by contraction with nodal values of w.
+    The form is c(a, b, z) = sum_K int_K weight sum_(e,m) a_e d_e b_m z_m:
+    the transport of b along a, tested by a field z that ``_test`` reads
+    from the test space (velocity values, pressure gradients) with the
+    quadrature weights folded in.  ``_flux`` groups the (e, m) products
+    by theta tag.  An instance holds per-cell quadrature data only:
+    reference shape values, physical gradients and the weighted test
+    map, on a rule exact for the integrand.
+    ``action`` and ``tensor`` evaluate the form from it with batched
+    matmuls and one deterministic sparse scatter per row space; the
+    subclasses assemble the sparse matrices Newton needs from the same
+    data.  Nothing is written after construction, so one instance
+    serves any number of threads.
     """
+
+    TAGS: tuple = ()
+
+    def __init__(self, vel: FunctionSpace, vals: np.ndarray,
+                 grads: np.ndarray, test: np.ndarray,
+                 test_space: FunctionSpace):
+        """``vals`` (q, n) and ``grads`` (t, q, n, 2) of the velocity
+        shape functions; ``test`` (t, local nodes, q * s) the weighted
+        test map of ``test_space``, whose local rows are scattered into
+        the global ones."""
+        self.space = vel
+        self._vals = _frozen(vals)
+        self._grad = _frozen(grads.transpose(3, 0, 1, 2))         # (e, t, q, n)
+        self._test = _frozen(test)
+        dofs = self._test_dofs = test_space.cell_dofs
+        self._scatter = scipy.sparse.csr_matrix(
+            (np.ones(dofs.size), (dofs.ravel(), np.arange(dofs.size))),
+            shape=(test_space.n_scalar, dofs.size))
+
+    def _nodal(self, x: np.ndarray, cells) -> np.ndarray:
+        """(t, n, 2k) nodal values of the velocity columns x (dof, k)."""
+        return x.reshape(-1, 2 * x.shape[1])[self.space.cell_dofs[cells]]
+
+    def _values(self, x: np.ndarray, cells=slice(None)) -> np.ndarray:
+        """Values (t, q, m, k) of the velocity columns x."""
+        v = self._vals @ self._nodal(x, cells)
+        return v.reshape(*v.shape[:2], 2, -1)
+
+    def _gradients(self, x: np.ndarray, cells=slice(None)) -> np.ndarray:
+        """Gradients (e, t, q, m, k): d_e of component m of each column."""
+        g = self._grad[:, cells] @ self._nodal(x, cells)
+        return g.reshape(*g.shape[:3], 2, -1)
+
+    def _test_apply(self, f: np.ndarray) -> np.ndarray:
+        """The (rows, k) vector sum_(q,m) test * f of a flux f (t, q, m, k)."""
+        k = f.shape[-1]
+        local = self._test @ f.reshape(f.shape[0], self._test.shape[-1], -1)
+        return (self._scatter @ local.reshape(-1, local.shape[-1])).reshape(
+            -1, k)
+
+    def _test_values(self, z: np.ndarray, cells) -> np.ndarray:
+        """Test fields (t, q, m, i) of the columns of z: the adjoint of
+        ``_test_apply``."""
+        zn = z.reshape(self._scatter.shape[0], -1)[self._test_dofs[cells]]
+        zt = self._test[cells].swapaxes(1, 2) @ zn
+        return zt.reshape(zt.shape[0], -1, 2, z.shape[1])
+
+    def action(self, a: np.ndarray, b: np.ndarray) -> list:
+        """[(tag, c_tag(a_j, b_j, .))]: the form's (rows, k) vectors for
+        the k velocity columns of a (transporting) and b (transported)."""
+        _, t, q, _ = self._grad.shape
+        step = max(1, _BLOCK_BYTES // (32 * t * q))
+        chunks = []
+        for start in range(0, a.shape[1], step):
+            cols = slice(start, start + step)
+            av = np.moveaxis(self._values(a[:, cols]), 2, 0)[:, :, :, None]
+            fluxes = self._flux(av, self._gradients(b[:, cols]))
+            chunks.append([self._test_apply(f) for f in fluxes])
+        return [(tag, np.hstack(parts))
+                for tag, parts in zip(self.TAGS, zip(*chunks))]
+
+    def tensor(self, z: np.ndarray, w: np.ndarray) -> AffineOperator:
+        """T[i, j, k] = c(w_j, w_k, z_i) per tag: the reduced tensor of
+        the test basis z and the velocity columns w, contracted from
+        their quadrature values one block of cells and one j at a time.
+        Within a block the values are laid out with the points last,
+        (column, m, point), so scaling by w_j runs along whole rows."""
+        _, t, q, _ = self._grad.shape
+        n_z, n_w = z.shape[1], w.shape[1]
+        out = np.zeros((len(self.TAGS), n_z, n_w, n_w))
+        step = max(1, _BLOCK_BYTES // (32 * q * max(n_z, n_w)))
+        for start in range(0, t, step):
+            cells = slice(start, start + step)
+            zt = np.ascontiguousarray(
+                self._test_values(z, cells).transpose(3, 2, 0, 1))
+            zt = zt.reshape(n_z, -1)                         # (i, m point)
+            wa = np.ascontiguousarray(
+                self._values(w, cells).transpose(2, 3, 0, 1))
+            wa = wa.reshape(2, n_w, 1, -1)                   # (e, j, 1, point)
+            gw = np.ascontiguousarray(
+                self._gradients(w, cells).transpose(0, 4, 3, 1, 2))
+            gw = gw.reshape(2, n_w, 2, -1)                   # (e, k, m, point)
+            for j in range(n_w):
+                for part, f in zip(out, self._flux(wa[:, j], gw)):
+                    part[:, j] += zt @ f.reshape(n_w, -1).T
+        return AffineOperator(list(zip(self.TAGS, out)))
+
+
+class ConvectionAssembler(_QuadraticForm):
+    """Trilinear form c(w, u, v) = int (w_x du/dx + a w_y du/dy) . v.
+
+    Applied at the points of the degree 3k-1 rule, exact for the
+    integrand: ``action`` gives C(a_j) b_j for stacked columns and
+    ``tensor`` the reduced tensor, with no matrix.  Only Newton
+    assembles matrices: ``matrix`` C(w) in the transported argument and
+    ``transport_jacobian`` the derivative in the transporting one.  One
+    theta tag per transport direction.
+    """
+
+    TAGS = ("one", "a")
 
     def __init__(self, vel: FunctionSpace):
         if vel.components != 2:
             raise ValueError("convection needs a vector velocity space")
-        self.space = vel
         k = _poly_degree(vel.family)
         vals, grads, wdet = _quad_data(vel, 3 * k - 1)
-        self.tables = [np.einsum("tq,qp,tqn,qr->tpnr", wdet, vals,
-                                 grads[..., e], vals) for e in (0, 1)]
-        # tables[e][t, p, n, r] = int N_p d_e N_n N_r
+        super().__init__(vel, vals, grads, vals.T * wdet[:, None, :], vel)
+        n_t = vel.mesh.n_triangles
 
         cd = vel.cell_dofs
-        n_t, nloc = cd.shape
+        nloc = cd.shape[1]
         shape = (vel.dof_count, vel.dof_count)
         comp = np.arange(2)
         rows = (2 * cd)[:, :, None, None] + comp[None, None, None, :]
@@ -339,12 +453,15 @@ class ConvectionAssembler:
         self._jac_pat = {e: CsrPattern(jrows.ravel(), jcols[e].ravel(), shape)
                          for e in (0, 1)}
 
+    def _flux(self, a, g):
+        return [a[0] * g[0], a[1] * g[1]]
+
     def matrix(self, w: np.ndarray) -> AffineOperator:
         """C(w; mu) acting on the transported argument (rows = test)."""
-        wn = _nodal(self.space, w)
+        wa = self._values(w[:, None])[..., 0]                  # (t, q, e)
         terms = []
-        for e, tag in ((0, "one"), (1, "a")):
-            loc = np.einsum("tpnr,tp->trn", self.tables[e], wn[..., e])
+        for e, tag in enumerate(self.TAGS):
+            loc = (self._test * wa[:, None, :, e]) @ self._grad[e]
             full = np.broadcast_to(loc[..., None], self._conv_shape)
             terms.append((tag, self._conv_pat.assemble(full.ravel())))
         return AffineOperator(terms)
@@ -355,69 +472,84 @@ class ConvectionAssembler:
         Entry (2g_r+m, 2g_a+e) = c_e(phi_a, w, phi_{r,m}); adding
         matrix(w) gives the full convective Jacobian at w.
         """
-        wn = _nodal(self.space, w)
+        _, n_t, q, _ = self._grad.shape
+        gw = self._gradients(w[:, None])[..., 0]               # (e, t, q, m)
         terms = []
-        for e, tag in ((0, "one"), (1, "a")):
-            loc = np.einsum("tanr,tnm->trma", self.tables[e], wn)
+        for e, tag in enumerate(self.TAGS):
+            h = gw[e, :, :, :, None] * self._vals[:, None, :]   # (t, q, m, a)
+            loc = self._test @ h.reshape(n_t, q, -1)            # (t, r, m, a)
             terms.append((tag, self._jac_pat[e].assemble(loc.ravel())))
         return AffineOperator(terms)
 
+    def linearization(self, w: np.ndarray) -> tuple:
+        """(C(w), its transport Jacobian): their sum is the Newton
+        Jacobian of C(u)u at w."""
+        return self.matrix(w), self.transport_jacobian(w)
 
-class SupgAssembler:
+
+class SupgAssembler(_QuadraticForm):
     """Convective part of the streamline-derivative continuity coupling.
 
-    Handles the nonlinear term delta sum_K h_K^2 ((w . grad) u, grad q):
-    ``transport(w)`` assembles its matrix in the transported argument,
-    ``jacobian(w)`` the derivative with respect to the transporting
-    argument, both from the shared tables
-    G_e[t,p,q,r,m] = int N_p d_e N_q d_m psi_r.  Both are AffineOperators
-    like the convection matrices; on the reference elements their one
-    term carries the tag "one" (a pullback through the stretch would
+    The nonlinear term delta sum_K h_K^2 ((w . grad) u, grad q), applied
+    at the points of the degree kv + (kv-1) + (kp-1) rule, exact for the
+    integrand, with delta h_K^2 folded into the weights: ``action`` and
+    ``tensor`` need no matrix.  Only Newton assembles matrices:
+    ``transport(w)`` in the transported argument and ``jacobian(w)`` the
+    derivative in the transporting one.  On the reference elements the
+    one term carries the tag "one" (a pullback through the stretch would
     split it by direction, as the convection's "one"/"a").
     """
 
+    TAGS = ("one",)
+
     def __init__(self, vel: FunctionSpace, prs: FunctionSpace, delta: float):
-        self.vel = vel
         self.delta = float(delta)
         kv = _poly_degree(vel.family)
         kp = _poly_degree(prs.family)
         deg = kv + max(kv - 1, 0) + max(kp - 1, 0)
-        pts, w = triangle_rule(deg)
-        lam = bary_coords(pts)
-        vvals = shape_values(vel.family, lam)
-        vgr = np.einsum("qni,tid->tqnd", shape_dlam(vel.family, lam),
-                        vel.mesh.grad_bary)
-        pgr = np.einsum("qni,tid->tqnd", shape_dlam(prs.family, lam),
-                        prs.mesh.grad_bary)
-        wdet = 2.0 * vel.mesh.areas[:, None] * w[None, :]
-        wh2 = wdet * (vel.mesh.element_diameters ** 2)[:, None] * self.delta
-        self.tables = [np.einsum("tq,qp,tqn,tqrm->tpnrm", wh2, vvals,
-                                 vgr[..., e], pgr) for e in (0, 1)]
+        vals, grads, wdet = _quad_data(vel, deg)
+        wh2 = wdet * (self.delta * vel.mesh.element_diameters ** 2)[:, None]
+        _, pgr, _ = _quad_data(prs, deg)                         # (t, q, r, m)
+        n_t, q, npl, _ = pgr.shape
+        test = (pgr * wh2[:, :, None, None]).transpose(0, 2, 1, 3)
+        super().__init__(vel, vals, grads, test.reshape(n_t, npl, 2 * q), prs)
 
         cd = vel.cell_dofs
         pd = prs.cell_dofs
-        n_t, nv = cd.shape
-        npl = pd.shape[1]
+        nv = cd.shape[1]
         shape = (prs.n_scalar, vel.dof_count)
         comp = np.arange(2)
-        trows = np.broadcast_to(pd[:, :, None, None], (n_t, npl, nv, 2))
-        tcols = (2 * cd)[:, None, :, None] + comp[None, None, None, :]
-        tcols = np.broadcast_to(tcols, (n_t, npl, nv, 2))
+        trows = np.broadcast_to(pd[:, :, None, None], (n_t, npl, 2, nv))
+        tcols = (2 * cd)[:, None, None, :] + comp[None, None, :, None]
+        tcols = np.broadcast_to(tcols, (n_t, npl, 2, nv))
         # transport and Jacobian share it: both local blocks are laid out
-        # (cell, pressure dof, velocity node, component)
+        # (cell, pressure dof, component, velocity node)
         self._pat = CsrPattern(trows.ravel(), tcols.ravel(), shape)
 
+    def _flux(self, a, g):
+        return [a[0] * g[0] + a[1] * g[1]]
+
     def transport(self, w: np.ndarray) -> AffineOperator:
-        wn = _nodal(self.vel, w)
-        loc = (np.einsum("tpnrm,tp->trnm", self.tables[0], wn[..., 0])
-               + np.einsum("tpnrm,tp->trnm", self.tables[1], wn[..., 1]))
+        _, n_t, q, _ = self._grad.shape
+        wa = self._values(w[:, None])[..., 0]                  # (t, q, e)
+        stream = wa[:, :, 0, None] * self._grad[0] \
+            + wa[:, :, 1, None] * self._grad[1]                 # w . grad phi_n
+        test = self._test.reshape(n_t, -1, q, 2).swapaxes(2, 3)
+        loc = test.reshape(n_t, -1, q) @ stream                # (t, r, m, n)
         return AffineOperator([("one", self._pat.assemble(loc.ravel()))])
 
     def jacobian(self, w: np.ndarray) -> AffineOperator:
-        wn = _nodal(self.vel, w)
-        loc = np.stack([np.einsum("tpnrm,tnm->trp", self.tables[e], wn)
-                        for e in (0, 1)], axis=-1)
+        _, n_t, q, _ = self._grad.shape
+        gw = self._gradients(w[:, None])[..., 0]               # (e, t, q, m)
+        s = np.einsum("trqm,etqm->treq",
+                      self._test.reshape(n_t, -1, q, 2), gw, optimize=True)
+        loc = s @ self._vals                                    # (t, r, e, n)
         return AffineOperator([("one", self._pat.assemble(loc.ravel()))])
+
+    def linearization(self, w: np.ndarray) -> tuple:
+        """(T(w), its Jacobian): their sum is the Newton Jacobian of
+        T(u)u at w."""
+        return self.transport(w), self.jacobian(w)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,17 @@ blocks are listed once, in ``SADDLE_BLOCKS``: row space, column space,
 sign and whether the block is a Galerkin or a stabilization term; its
 two quadratic terms, convection and SUPG transport, are listed the same
 way in ``QUADRATIC_TERMS``.  Every full-order quantity is read from
-these tables: the residual is one loop of mat-vecs over them (plus the
-body forces), the lifting right-hand side is the linear part of that
+these tables: the residual is one loop of mat-vecs over the linear
+blocks plus one quadrature-point evaluation of each quadratic term (and
+the body forces), the lifting right-hand side is the linear part of that
 loop at the zero homogeneous state, and the Stokes matrix and the Newton
 Jacobian are bordered matrices built from them.  The reduced model
 projects the same tables (``rb``).
 
 Navier-Stokes is solved by a full Newton iteration on the total
 velocity field; the Jacobian differentiates the convective term and the
-streamline-derivative stabilization.
+streamline-derivative stabilization.  The Jacobian is the only place
+that assembles the matrices of the quadratic terms.
 """
 
 from __future__ import annotations
@@ -65,9 +67,8 @@ class SaddleBlock(NamedTuple):
     is the named operator's transpose.  ``stab`` marks a stabilization
     term: online options iii/iv drop it, in the matrix and in the lifting
     right-hand side alike.  A quadratic block has ``cols`` "w": it is
-    sign * Q(u) u in the total velocity u, with Q(w) and the derivative
-    of Q(u) u in the transporting slot at w from
-    ``FlowSystem.quadratic[name]``.
+    sign * Q(u) u in the total velocity u, applied and linearized by the
+    kernel ``FlowSystem.quadratic[name]``.
     """
 
     name: str
@@ -171,11 +172,16 @@ class FeSolution:
 class FlowSystem:
     """Spaces, affine operators and solvers for one problem setup.
 
-    Everything parameter-independent (element tables, affine matrix
-    terms, Gram matrices, body forces) is assembled once; per-parameter
-    work is limited to weighted sums, boundary restriction and the
-    linear solves.  ``operators`` holds the affine operator of every
-    ``SADDLE_BLOCKS`` name the configuration has.
+    Everything parameter-independent (affine matrix terms, Gram
+    matrices, body forces, the quadratic terms' quadrature data) is
+    assembled once; per-parameter work is limited to weighted sums,
+    boundary restriction and the linear solves.  ``operators`` holds
+    the affine operator of every ``SADDLE_BLOCKS`` name the
+    configuration has, ``quadratic`` the kernel of every
+    ``QUADRATIC_TERMS`` name: its ``action`` and ``tensor`` work at
+    quadrature points, and its ``linearization`` assembles the two
+    matrices of a Newton Jacobian, looked up on the kernel's class at
+    every call.
     """
 
     def __init__(self, config: ProblemConfig, nx: int, ny: int,
@@ -209,17 +215,12 @@ class FlowSystem:
                     config.stabilization)
         self.convection = (ConvectionAssembler(self.velocity_space)
                            if config.problem == "navier_stokes" else None)
-        # (Q, dQ) of each QUADRATIC_TERMS name the configuration has; the
-        # assemblers' methods are looked up at every call
+        # the kernel of each QUADRATIC_TERMS name the configuration has
         self.quadratic = {}
         if self.convection is not None:
-            conv = self.convection
-            self.quadratic["conv"] = (lambda w: conv.matrix(w),
-                                      lambda w: conv.transport_jacobian(w))
+            self.quadratic["conv"] = self.convection
         if self.stab is not None and self.stab.supg is not None:
-            supg = self.stab.supg
-            self.quadratic["tn"] = (lambda w: supg.transport(w),
-                                    lambda w: supg.jacobian(w))
+            self.quadratic["tn"] = self.stab.supg
         self.operators = {"visc": self.viscous, "b": self.divergence}
         for blk in SADDLE_BLOCKS:
             op = getattr(self.stab, blk.name, None)
@@ -268,20 +269,16 @@ class FlowSystem:
         for rows, stab, tag, vec in self.body_terms:
             yield rows, stab, tag, -1.0, vec
 
-    def _linear_residual(self, mu, state: dict) -> dict:
+    def _linear_residual(self, mus, state: dict) -> dict:
         """sum sign theta_q(mu) M_q x over ``_linear_terms``, by row space
-        (every dof); k state columns take k parameters, one per column."""
+        (every dof); the k state columns take the k parameters ``mus``,
+        one per column."""
         g = self.geometry
-        cols = np.shape(state["v"])[1:]
-        out = {"v": np.zeros((self.velocity_space.dof_count, *cols)),
-               "p": np.zeros((self.n_pressure, *cols))}
+        out = {"v": np.zeros((self.velocity_space.dof_count, len(mus))),
+               "p": np.zeros((self.n_pressure, len(mus)))}
         for rows, _, tag, sign, vec in self._linear_terms(state):
-            if cols:    # a weight per column; a body force is one column
-                w = np.array([g.theta(tag, m) for m in mu])
-                vec = vec.reshape(len(vec), -1)
-            else:
-                w = g.theta(tag, mu)
-            out[rows] += (sign * w) * vec
+            w = np.array([sign * g.theta(tag, m) for m in mus])
+            out[rows] += w * vec.reshape(len(vec), -1)  # body force: 1 column
         return out
 
     def lifting_rhs(self) -> dict:
@@ -321,9 +318,8 @@ class FlowSystem:
             add((rows, cols), m, sign)
         for name, rows, _, sign, _, _ in QUADRATIC_TERMS:
             if u_total is not None and name in self.quadratic:
-                q, dq = self.quadratic[name]
-                add((rows, "v"), q(u_total).evaluate(g, mu)
-                    + dq(u_total).evaluate(g, mu), sign)
+                q, dq = self.quadratic[name].linearization(u_total)
+                add((rows, "v"), q.evaluate(g, mu) + dq.evaluate(g, mu), sign)
 
         def cut(rows, cols):
             m = blocks.get((rows, cols))
@@ -362,26 +358,26 @@ class FlowSystem:
         rows, the (stabilized) continuity rows and the mean constraint.
         This is the quantity Newton drives to zero and the one the greedy
         error indicator measures.  States stacked as k columns take k
-        parameters and give k residual columns; the quadratic terms are
-        assembled column by column.
+        parameters and give k residual columns; each quadratic term is
+        applied at quadrature points to all of them in one ``action``
+        call, weighted per column, with no matrix assembled.
         """
         g = self.geometry
         batched = np.ndim(u_homog) == 2
-        lift, mean = self.lifting.values, self.mean_vector
-        if batched:     # the lifting and the mean enter every column
-            lift, mean = lift[:, None], mean[:, None]
         mus = mu if batched else [mu]
-        columns = np.transpose if batched else (lambda a: a[None])
-        u_t = u_homog + lift
-        r = self._linear_residual(mu, {"v": u_t, "p": p})
+        u_t = np.reshape(u_homog, (len(u_homog), -1)) \
+            + self.lifting.values[:, None]
+        p = np.reshape(p, (len(p), -1))
+        r = self._linear_residual(mus, {"v": u_t, "p": p})
         for name, rows, _, sign, _, _ in QUADRATIC_TERMS:
             if name in self.quadratic:
-                for m_j, u_j, r_j in zip(mus, columns(u_t), columns(r[rows])):
-                    for tag, m in self.quadratic[name][0](u_j):
-                        r_j += (sign * g.theta(tag, m_j)) * (m @ u_j)
-        r["p"] += lam * mean
-        return np.concatenate([r["v"][self.free], r["p"],
-                               (self.mean_vector @ p)[None]])
+                for tag, c in self.quadratic[name].action(u_t, u_t):
+                    r[rows] += np.array([sign * g.theta(tag, m)
+                                         for m in mus]) * c
+        r["p"] += lam * self.mean_vector[:, None]
+        out = np.concatenate([r["v"][self.free], r["p"],
+                              (self.mean_vector @ p)[None]])
+        return out if batched else out[:, 0]
 
     def residual_reference(self, mu) -> float:
         """Residual norm of the zero homogeneous state (RHS scale)."""
@@ -398,8 +394,8 @@ class FlowSystem:
         homogeneous state.
         """
         k = self._saddle_matrix(mu)
-        r0 = self._linear_residual(mu, {"v": self.lifting.values})
-        rhs = np.concatenate([-r0["v"][self.free], -r0["p"], [0.0]])
+        r0 = self._linear_residual([mu], {"v": self.lifting.values[:, None]})
+        rhs = np.concatenate([-r0["v"][self.free, 0], -r0["p"][:, 0], [0.0]])
         lu = SparseLU(k, context=f"stokes solve at mu={tuple(mu)}")
         x = lu.solve(rhs)
         u_full, p, lam = self._split(x)

@@ -418,16 +418,12 @@ def build_reduced_model(system: FlowSystem, mus: np.ndarray,
     for (rows, stab), rhs in system.lifting_rhs().items():
         arrays[_LIFTING_RHS[rows, stab]] = rhs.project_vector(basis[rows])
 
-    # T[i, j, k] = (test i, Q(w_j) w_k), one column of [l | Z_v] a time
+    # T[i, j, k] = (test i, Q(w_j) w_k) on w = [l | Z_v], at quadrature
+    # points
     w = np.column_stack([lvec, zv])
     for name, rows, _, _, _, _ in QUADRATIC_TERMS:
         if name in system.quadratic:
-            q = system.quadratic[name][0]
-            cols = [q(w[:, j]).project(basis[rows], w)
-                    for j in range(w.shape[1])]
-            arrays[name] = AffineOperator(
-                [(tag, np.stack([c.terms[e][1] for c in cols], axis=1))
-                 for e, (tag, _) in enumerate(cols[0].terms)])
+            arrays[name] = system.quadratic[name].tensor(basis[rows], w)
 
     arrays.update(
         z_v=zv, z_p=z_p, lifting=lvec.copy(),

@@ -544,6 +544,116 @@ def test_ns_stabilization_wrapper():
 
 
 # ---------------------------------------------------------------------------
+# quadratic terms at quadrature points: oracles from the assembled matrices
+
+
+def _kernel(kind):
+    """(kernel, Q, test dofs) of a quadratic term on an 8x4 mesh: Q(w)
+    is the assembled matrix in the transported argument."""
+    mesh = build_rect_mesh(2.0, 1.0, 8, 4)
+    if kind.startswith("conv"):
+        vel = make_space(mesh, kind[-2:], 2)
+        conv = ConvectionAssembler(vel)
+        return conv, conv.matrix, vel.dof_count
+    vel, prs = spaces(mesh, kind[-2:], kind[-2:])
+    supg = SupgAssembler(vel, prs, 0.7)
+    return supg, supg.transport, prs.dof_count
+
+
+def _tensor_oracle(q, z, w):
+    """T[i, j, k] = (z_i, Q(w_j) w_k) per tag, one assembled Q(w_j) and
+    one projection per column of w."""
+    cols = [q(w[:, j]).project(z, w) for j in range(w.shape[1])]
+    return [(tag, np.stack([c.terms[e][1] for c in cols], axis=1))
+            for e, (tag, _) in enumerate(cols[0].terms)]
+
+
+QUADRATIC_KINDS = ["conv-P1", "conv-P2", "supg-P1", "supg-P2"]
+
+
+@pytest.fixture(params=["default", "one-per-block"])
+def block_bytes(request, monkeypatch):
+    """The kernels' chunk budget as shipped, and one so small that the
+    action takes one column and the tensor one cell at a time."""
+    if request.param == "one-per-block":
+        monkeypatch.setattr("cavityrb.assembly._BLOCK_BYTES", 1)
+
+
+@pytest.mark.parametrize("kind", QUADRATIC_KINDS)
+def test_quadratic_action_matches_assembled_matrices(kind, block_bytes):
+    # per tag, column j of the action is Q(a_j) b_j; weighted by the
+    # theta of its own parameter it is Q(a_j; mu_j) b_j; a zero column
+    # transports nothing
+    kernel, q, _ = _kernel(kind)
+    dofs = kernel.space.dof_count
+    rng = np.random.default_rng(12)
+    k = 5
+    a = rng.standard_normal((dofs, k))
+    b = rng.standard_normal((dofs, k))
+    a[:, 2] = 0.0
+    geom = GeometryMap(viscosity="inverse")
+    mus = [(rng.uniform(100.0, 200.0), rng.uniform(1.5, 3.0))
+           for _ in range(k)]
+    got = kernel.action(a, b)
+    assert [tag for tag, _ in got] == list(kernel.TAGS)
+    for j in range(k):
+        want = q(a[:, j])
+        scale = max(np.abs(m @ b[:, j]).max() for _, m in want)
+        for (tag, c), (want_tag, m) in zip(got, want):
+            assert tag == want_tag
+            assert c.shape == (m.shape[0], k)
+            assert np.abs(c[:, j] - m @ b[:, j]).max() \
+                <= 1e-13 * max(scale, 1.0)
+        weighted = sum(geom.theta(tag, mus[j]) * c[:, j] for tag, c in got)
+        whole = want.evaluate(geom, mus[j]) @ b[:, j]
+        assert np.abs(weighted - whole).max() \
+            <= 1e-13 * max(np.abs(whole).max(), 1.0)
+    for _, c in got:
+        assert not c[:, 2].any()
+
+
+@pytest.mark.parametrize("kind", QUADRATIC_KINDS)
+def test_quadratic_tensor_matches_projection_oracle(kind, block_bytes):
+    kernel, q, rows = _kernel(kind)
+    rng = np.random.default_rng(13)
+    w = rng.standard_normal((kernel.space.dof_count, 4))
+    z = rng.standard_normal((rows, 3))
+    got = kernel.tensor(z, w)
+    want = _tensor_oracle(q, z, w)
+    assert [tag for tag, _ in got] == [tag for tag, _ in want]
+    for (_, t), (_, ref) in zip(got, want):
+        assert t.shape == ref.shape == (3, 4, 4)
+        assert np.abs(t - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("pair,method", [("P2P1", "None"),
+                                         ("P1P1", "SUPGFamily"),
+                                         ("P2P2", "SUPGFamily")])
+def test_newton_jacobian_matches_central_difference(pair, method):
+    # the residual is quadratic in the state, so the central difference
+    # is its derivative up to round-off at any step; the Newton matrix
+    # reads Q + dQ (matrix + transport_jacobian, transport + jacobian)
+    system = _system("navier_stokes", pair, method,
+                     1.0 if method != "None" else 0.0, nx=8, ny=4)
+    rng = np.random.default_rng(14)
+    mu = (137.0, 2.4)
+    u = np.zeros(system.velocity_space.dof_count)
+    du = np.zeros_like(u)
+    u[system.free] = rng.standard_normal(system.n_free)
+    du[system.free] = rng.standard_normal(system.n_free)
+    p = rng.standard_normal(system.n_pressure)
+    dp = rng.standard_normal(system.n_pressure)
+    lam, dlam = 0.3, -0.2
+    eps = 0.5
+    fd = (system.residual(mu, u + eps * du, p + eps * dp, lam + eps * dlam)
+          - system.residual(mu, u - eps * du, p - eps * dp,
+                            lam - eps * dlam)) / (2.0 * eps)
+    jac = system._saddle_matrix(mu, u + system.lifting.values)
+    got = jac @ np.concatenate([du[system.free], dp, [dlam]])
+    assert np.abs(got - fd).max() <= 1e-12 * np.abs(fd).max()
+
+
+# ---------------------------------------------------------------------------
 # right-hand sides
 
 

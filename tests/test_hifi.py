@@ -2,6 +2,9 @@
 invariants, the equal-order instability, mirror symmetry, Newton, and
 the saddle table against the named-block assembly it replaced."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -566,3 +569,33 @@ def test_column_stacked_residual_matches_each_column(problem, pair, method,
             <= 1e-14
     assert np.linalg.norm(got[:, 0]) == pytest.approx(
         system.residual_reference(mus[0]), rel=1e-14)
+
+
+def test_column_stacked_residual_is_thread_safe():
+    # the quadratic kernels keep no scratch state: four threads sharing
+    # one Navier-Stokes system give the serial residual bit for bit,
+    # with the interpreter switching threads often
+    cfg = ProblemConfig("navier_stokes", "P2P2",
+                        StabilizationConfig("SUPGFamily", 1.0))
+    system = FlowSystem(cfg, 16, 8)
+    rng = np.random.default_rng(9)
+    k = 6
+    mus = [(rng.uniform(*cfg.mu1_range), rng.uniform(*cfg.mu2_range))
+           for _ in range(k)]
+    states = []
+    for _ in range(8):
+        u = np.zeros((system.velocity_space.dof_count, k))
+        u[system.free] = rng.standard_normal((system.n_free, k))
+        states.append((u, rng.standard_normal((system.n_pressure, k))))
+    serial = [system.residual(mus, u, p) for u, p in states]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(system.residual, mus, u, p)
+                       for _ in range(4) for u, p in states]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, r in enumerate(got):
+        assert np.array_equal(r, serial[i % len(states)])

@@ -582,6 +582,29 @@ def test_quadratic_tensors_slice_into_the_named_arrays(ns_rb):
         close(part, named[name], name)
 
 
+def _tensor_oracle(q, z, w):
+    """T[i, j, k] = (z_i, Q(w_j) w_k) per tag, one assembled Q(w_j) and
+    one projection per column of w."""
+    cols = [q(w[:, j]).project(z, w) for j in range(w.shape[1])]
+    return [(tag, np.stack([c.terms[e][1] for c in cols], axis=1))
+            for e, (tag, _) in enumerate(cols[0].terms)]
+
+
+def test_quadratic_tensors_match_projection_oracle(ns_rb):
+    # the tensors contracted at quadrature points equal the projections
+    # of the assembled matrices Q(w_j), w = [l | Z_v]
+    system, model, _ = ns_rb
+    w = np.column_stack([system.lifting.values, model.z_v])
+    for name, q, z in (("conv", system.convection.matrix, model.z_v),
+                       ("tn", system.stab.supg.transport, model.z_p)):
+        got = getattr(model, name)
+        want = _tensor_oracle(q, z, w)
+        assert [tag for tag, _ in got] == [tag for tag, _ in want], name
+        for (_, t), (_, ref) in zip(got, want):
+            assert t.shape == ref.shape, name
+            assert np.abs(t - ref).max() <= 1e-13 * np.abs(ref).max(), name
+
+
 @pytest.mark.parametrize("case", ["stokes_rb", "p2p2_rho_rb", "p1p0_rb",
                                   "ns_rb"])
 def test_solve_reduced_matches_block_assembly(case, request):
