@@ -14,10 +14,14 @@ loop at the zero homogeneous state, and the Stokes matrix and the Newton
 Jacobian are bordered matrices built from them.  The reduced model
 projects the same tables (``rb``).
 
-Navier-Stokes is solved by a full Newton iteration on the total
+Navier-Stokes is solved by an inexact Newton iteration on the total
 velocity field; the Jacobian differentiates the convective term and the
-streamline-derivative stabilization.  The Jacobian is the only place
-that assembles the matrices of the quadratic terms.
+streamline-derivative stabilization.  The first step factors it; later
+steps run GMRES preconditioned by the last factor, with the Jacobian
+applied matrix-free through the quadratic kernels' ``action``, to an
+Eisenstat-Walker forcing tolerance, and factor afresh only when GMRES
+misses it.  A factored Jacobian is the only place that assembles the
+matrices of the quadratic terms.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .assembly import (
     AffineOperator,
@@ -56,6 +61,11 @@ PROBLEMS = ("stokes", "navier_stokes")
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
+# Newton steps after the first run GMRES preconditioned by the last
+# factored Jacobian: one restart cycle of KRYLOV_RESTART iterations, to
+# the relative tolerance min(KRYLOV_FORCING, ||r_k|| / ref)
+KRYLOV_RESTART = 15
+KRYLOV_FORCING = 0.1
 
 
 class SaddleBlock(NamedTuple):
@@ -154,7 +164,8 @@ class FeSolution:
 
     ``diagnostics["rcond"]`` is the estimated reciprocal condition
     number of the saddle matrix (Stokes) or the smallest over the Newton
-    Jacobians factored (None when Newton took no step).
+    Jacobians factored (None when Newton took no step).  Newton also
+    counts its ``factorizations`` and ``krylov_iterations``.
     """
 
     velocity: FeFunction
@@ -295,11 +306,33 @@ class FlowSystem:
             groups.setdefault((rows, stab), []).append((tag, -sign * vec))
         return {key: AffineOperator(terms) for key, terms in groups.items()}
 
-    def _saddle_matrix(self, mu, u_total: np.ndarray | None = None):
+    def _saddle_matrix(self, mu, u_total: np.ndarray | None = None,
+                       linear=None):
         """The bordered SADDLE_BLOCKS matrix at mu on the free velocity
         dofs, with the mean constraint; given a total velocity, the
-        Newton Jacobian there (plus Q + dQ of every QUADRATIC_TERMS
-        entry)."""
+        Newton Jacobian there: that matrix (``linear`` when given) plus
+        the bordered Q + dQ of every QUADRATIC_TERMS entry, one sparse
+        add on the same shape."""
+        k = self._linear_saddle_matrix(mu) if linear is None else linear
+        if u_total is None:
+            return k
+        g = self.geometry
+        quad: dict[str, scipy.sparse.spmatrix] = {}
+        for name, rows, _, sign, _, _ in QUADRATIC_TERMS:
+            if name in self.quadratic:
+                q, dq = self.quadratic[name].linearization(u_total)
+                m = sign * (q.evaluate(g, mu) + dq.evaluate(g, mu))
+                quad[rows] = quad[rows] + m if rows in quad else m
+        n_v = self.velocity_space.dof_count
+        v = quad.get("v", scipy.sparse.csr_matrix((n_v, n_v)))[self.free]
+        p = quad.get("p", scipy.sparse.csr_matrix((self.n_pressure, n_v)))
+        bordered = scipy.sparse.vstack([v, p], format="csr")[:, self.free]
+        bordered.resize(k.shape)
+        return k + bordered
+
+    def _linear_saddle_matrix(self, mu):
+        """The bordered SADDLE_BLOCKS matrix at mu (CSC): the Stokes
+        matrix, and the linear part of every Newton Jacobian."""
         g = self.geometry
         values: dict[str, scipy.sparse.spmatrix] = {}
         blocks: dict[tuple, scipy.sparse.spmatrix] = {}
@@ -316,10 +349,6 @@ class FlowSystem:
                 values[name] = op.evaluate(g, mu)
             m = values[name].T.tocsr() if transposed else values[name]
             add((rows, cols), m, sign)
-        for name, rows, _, sign, _, _ in QUADRATIC_TERMS:
-            if u_total is not None and name in self.quadratic:
-                q, dq = self.quadratic[name].linearization(u_total)
-                add((rows, "v"), q.evaluate(g, mu) + dq.evaluate(g, mu), sign)
 
         def cut(rows, cols):
             m = blocks.get((rows, cols))
@@ -334,6 +363,29 @@ class FlowSystem:
             [[cut("v", "v"), cut("v", "p"), None],
              [cut("p", "v"), cut("p", "p"), m_col],
              [None, m_col.T, None]], format="csc")
+
+    def jacobian_action(self, mu, u_total: np.ndarray, x: np.ndarray,
+                        linear) -> np.ndarray:
+        """J x for the Newton Jacobian J at the total velocity u_total,
+        with no quadratic matrix assembled: ``linear``, the linear saddle
+        matrix at mu, times x, plus sign theta(mu) [c(u, v) + c(v, u)] of
+        every QUADRATIC_TERMS entry for the velocity part v of x, from
+        one two-column ``action`` call per kernel."""
+        out = linear @ x
+        nf, g = self.n_free, self.geometry
+        v = np.zeros(self.velocity_space.dof_count)
+        v[self.free] = x[:nf]
+        a = np.column_stack([u_total, v])
+        b = np.column_stack([v, u_total])
+        for name, rows, _, sign, _, _ in QUADRATIC_TERMS:
+            if name in self.quadratic:
+                for tag, c in self.quadratic[name].action(a, b):
+                    q = sign * g.theta(tag, mu) * (c[:, 0] + c[:, 1])
+                    if rows == "v":
+                        out[:nf] += q[self.free]
+                    else:
+                        out[nf:nf + self.n_pressure] += q
+        return out
 
     def _split(self, x: np.ndarray):
         nf, npr = self.n_free, self.n_pressure
@@ -409,7 +461,18 @@ class FlowSystem:
     def solve_navier_stokes(self, mu, initial_guess: FeSolution | None = None,
                             tol: float = NEWTON_TOL,
                             max_iter: int = NEWTON_MAX_ITER) -> FeSolution:
-        """Full Newton on the stabilized nonlinear system."""
+        """Inexact Newton on the stabilized nonlinear system.
+
+        The linear saddle matrix at mu is evaluated once per solve.  The
+        first step factors the Jacobian and solves directly.  Every later
+        step solves J_k d = -r_k by GMRES, with J_k applied matrix-free
+        (``jacobian_action``) and the last factor as left preconditioner,
+        to the relative tolerance min(KRYLOV_FORCING, ||r_k|| / ref): the
+        forcing term shrinks with the residual, which keeps the quadratic
+        tail.  A step whose GMRES misses it within one restart cycle
+        factors J_k and keeps that factor from then on.  ``diagnostics``
+        counts the ``factorizations`` and the ``krylov_iterations``.
+        """
         if self.config.problem != "navier_stokes":
             raise ValueError("configured problem is not Navier-Stokes")
         if initial_guess is None:
@@ -418,8 +481,11 @@ class FlowSystem:
         p = initial_guess.pressure.values.copy()
         lam = 0.0
         ref = self.residual_reference(mu)
+        k_lin = self._saddle_matrix(mu)
         history = []
         rconds = []
+        krylov = []
+        lu = None
         iterations = 0
         while True:
             r = self.residual(mu, u_full, p, lam)
@@ -432,12 +498,20 @@ class FlowSystem:
                     f"Newton stalled after {iterations} iterations at "
                     f"mu={tuple(mu)} (residual {rn:.3e}, target "
                     f"{tol * ref:.3e})", history)
-            k = self._saddle_matrix(mu, u_full + self.lifting.values)
-            lu = SparseLU(
-                k, context=f"newton step {iterations} at mu={tuple(mu)}")
-            rconds.append(lu.rcond)
-            delta = lu.solve(-r)
-            del lu   # no factor stays alive while the next one is built
+            u_t = u_full + self.lifting.values
+            delta = None
+            if lu is not None:
+                forcing = min(KRYLOV_FORCING, rn / ref) if ref > 0 \
+                    else KRYLOV_FORCING
+                delta = self._krylov_step(mu, u_t, k_lin, lu, -r, forcing,
+                                          krylov.append)
+            if delta is None:
+                lu = None   # no factor stays alive while the next one is built
+                lu = SparseLU(self._saddle_matrix(mu, u_t, k_lin),
+                              context=f"newton step {iterations} at "
+                                      f"mu={tuple(mu)}")
+                rconds.append(lu.rcond)
+                delta = lu.solve(-r)
             du, dp, dl = self._split(delta)
             u_full += du
             p += dp
@@ -446,8 +520,26 @@ class FlowSystem:
         diag = {"type": "newton", "iterations": iterations,
                 "residuals": history, "lambda": lam,
                 "residual": history[-1] / ref if ref > 0 else history[-1],
-                "rcond": min(rconds, default=None)}
+                "rcond": min(rconds, default=None),
+                "factorizations": len(rconds),
+                "krylov_iterations": len(krylov)}
         return self._pack_solution(mu, u_full, p, diag)
+
+    def _krylov_step(self, mu, u_total, linear, lu: SparseLU, rhs, rtol,
+                     callback):
+        """One restart cycle of GMRES for J d = rhs, J the Newton
+        Jacobian at u_total applied matrix-free, left-preconditioned by
+        ``lu``; ``callback`` sees each iteration.  None when the cycle
+        misses the relative tolerance rtol."""
+        jac = scipy.sparse.linalg.LinearOperator(
+            linear.shape, dtype=float,
+            matvec=lambda x: self.jacobian_action(mu, u_total, x, linear))
+        precond = scipy.sparse.linalg.LinearOperator(
+            linear.shape, dtype=float, matvec=lu.solve)
+        delta, info = scipy.sparse.linalg.gmres(
+            jac, rhs, rtol=rtol, atol=0.0, restart=KRYLOV_RESTART,
+            maxiter=1, M=precond, callback=callback, callback_type="pr_norm")
+        return delta if info == 0 else None
 
     def solve_navier_stokes_continued(self, mu, steps: int = 4) -> FeSolution:
         """Newton with geometric Reynolds continuation as a fallback."""

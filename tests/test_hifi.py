@@ -345,6 +345,67 @@ def test_continuation_matches_direct_solve():
     assert np.array_equal(direct.pressure.values, continued.pressure.values)
 
 
+@pytest.mark.parametrize("pair,method,delta", [
+    ("P2P2", "SUPGFamily", 1.0),
+    ("P1P1", "SUPGFamily", 1.0),
+    ("P2P1", "None", 0.0),
+])
+def test_jacobian_action_matches_assembled_jacobian(pair, method, delta):
+    cfg = ProblemConfig("navier_stokes", pair,
+                        StabilizationConfig(method, delta))
+    system = FlowSystem(cfg, 8, 4)
+    rng = np.random.default_rng(12)
+    mu = (170.0, 2.4)
+    u = np.zeros(system.velocity_space.dof_count)
+    u[system.free] = rng.standard_normal(system.n_free)
+    u_t = u + system.lifting.values
+    jac = system._saddle_matrix(mu, u_t)
+    x = rng.standard_normal(jac.shape[0])
+    got = system.jacobian_action(mu, u_t, x, system._saddle_matrix(mu))
+    assert _rel(got, jac @ x) <= 1e-12
+
+
+def test_newton_refactors_when_its_factor_is_stale(ns_system, monkeypatch):
+    # the first factored Jacobian comes from a far parameter and state:
+    # the Krylov steps it preconditions miss their tolerance, so Newton
+    # factors afresh and still reaches the usual tolerance
+    mu, far = (120.0, 2.0), (200.0, 3.0)
+    far_u = ns_system.solve_navier_stokes(far).total_velocity.values
+    matrix = ns_system._saddle_matrix
+    stale = []
+
+    def first_jacobian_stale(m, u_total=None, linear=None):
+        if u_total is not None and not stale:
+            stale.append(m)
+            return matrix(far, far_u)
+        return matrix(m, u_total, linear)
+    monkeypatch.setattr(ns_system, "_saddle_matrix", first_jacobian_stale)
+    sol = ns_system.solve_navier_stokes(mu)
+    diag = sol.diagnostics
+    assert stale == [mu]
+    assert diag["factorizations"] >= 2
+    assert diag["krylov_iterations"] > 0
+    ref = ns_system.residual_reference(mu)
+    assert diag["residuals"][-1] <= NEWTON_TOL * ref
+    r = ns_system.residual(mu, sol.velocity.values, sol.pressure.values,
+                           diag["lambda"])
+    assert np.linalg.norm(r) <= NEWTON_TOL * ref
+
+
+def test_newton_diagnostics_count_factors_and_krylov_steps(ns_system):
+    mu = (150.0, 2.5)
+    first = ns_system.solve_navier_stokes(mu)
+    diag = first.diagnostics
+    assert isinstance(diag["factorizations"], int)
+    assert isinstance(diag["krylov_iterations"], int)
+    assert 1 <= diag["factorizations"] <= diag["iterations"]
+    # repeat solves are bit-identical, diagnostics included
+    again = ns_system.solve_navier_stokes(mu)
+    assert np.array_equal(first.velocity.values, again.velocity.values)
+    assert np.array_equal(first.pressure.values, again.pressure.values)
+    assert again.diagnostics == diag
+
+
 def test_newton_requires_ns_configuration(stokes_bp):
     system, _ = stokes_bp
     with pytest.raises(ValueError):

@@ -6,11 +6,13 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from cavityrb.assembly import AffineOperator, StabilizationConfig
 from cavityrb.cli import main
-from cavityrb.hifi import (QUADRATIC_TERMS, SADDLE_BLOCKS, FeSolution,
-                           FlowSystem, ProblemConfig)
+from cavityrb.hifi import (NEWTON_MAX_ITER, NEWTON_TOL, QUADRATIC_TERMS,
+                           SADDLE_BLOCKS, FeSolution, FlowSystem,
+                           ProblemConfig)
 from cavityrb.linalg import RCOND_TOL
 from cavityrb.rb import (_AXES, _LIFTING_RHS, OPTIONS, GreedyTrace,
                          ReducedModel, SupremizerOperator, _map_axes,
@@ -1002,6 +1004,41 @@ def test_greedy_warm_starts_navier_stokes_snapshots(ns_rb, monkeypatch):
         assert warm.diagnostics["iterations"] \
             < cold.diagnostics["iterations"]
         assert np.array_equal(model.u_snaps[:, k], warm.velocity.values)
+
+
+def _direct_newton(system, mu, guess):
+    """The oracle: Newton that factors the assembled Jacobian at every
+    step, from the same guess and to the same tolerance."""
+    u = guess.velocity.values.copy()
+    p = guess.pressure.values.copy()
+    lam = 0.0
+    ref = system.residual_reference(mu)
+    nf = system.n_free
+    for _ in range(NEWTON_MAX_ITER + 1):
+        r = system.residual(mu, u, p, lam)
+        if np.linalg.norm(r) <= NEWTON_TOL * ref:
+            return u, p
+        jac = system._saddle_matrix(mu, u + system.lifting.values)
+        d = scipy.sparse.linalg.spsolve(jac, -r)
+        u[system.free] += d[:nf]
+        p += d[nf:-1]
+        lam += d[-1]
+    raise AssertionError(f"direct Newton did not converge at {mu}")
+
+
+def test_warm_snapshots_reuse_factors_and_match_direct_newton(
+        ns_rb, monkeypatch):
+    system, _, _ = ns_rb
+    calls = _record_solves(system, monkeypatch)
+    greedy_offline(system, n_max=3, train_size=9, seed=SEED)
+    assert len(calls) == 3
+    for mu, kwargs, warm in calls[1:]:
+        diag = warm.diagnostics
+        assert diag["factorizations"] < diag["iterations"]
+        u, p = _direct_newton(system, mu, kwargs["initial_guess"])
+        for got, want in ((warm.velocity.values, u),
+                          (warm.pressure.values, p)):
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_greedy_falls_back_to_cold_continued_solve(ns_rb, monkeypatch):
