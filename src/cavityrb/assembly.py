@@ -6,10 +6,10 @@ by a(mu2), giving the viscous tensor nu*diag(1/a, a) and the divergence
 tensor diag(1, a)).  Each form is returned as an AffineOperator: a list
 of (theta-tag, matrix) terms whose weighted sum reproduces the mapped
 operator at any parameter.  The quadratic terms Q(u)u (convection, SUPG
-transport) are kernels at quadrature points instead: they apply the term
-to stacked columns and contract its reduced tensor from per-cell
-quadrature data, and assemble the matrices Q(w) and the transport
-Jacobian, AffineOperators too, for Newton only.
+transport) are kernels at quadrature points instead, each defined by one
+flux: from per-cell quadrature data they apply the term to stacked
+columns, contract its reduced tensor and, for Newton only, assemble the
+matrices Q(w) and dQ(w), AffineOperators too.
 How the blocks enter the saddle system (sign, Galerkin or stabilization)
 is not decided here but in ``hifi.SADDLE_BLOCKS`` and
 ``hifi.QUADRATIC_TERMS``; right-hand sides are not assembled here
@@ -31,7 +31,7 @@ the momentum-row term rho delta h_K^2 (f, nu lap v) of ResidualBased.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.io
@@ -173,7 +173,7 @@ def _poly_degree(family: str) -> int:
 # parameter-separated bilinear forms
 
 
-def assemble_viscous(vel: FunctionSpace, geometry: GeometryMap) -> AffineOperator:
+def assemble_viscous(vel: FunctionSpace) -> AffineOperator:
     """Mapped vector Laplacian: (nu/a) * dx-block + (nu*a) * dy-block."""
     if vel.components != 2:
         raise ValueError("viscous form needs a vector velocity space")
@@ -189,8 +189,8 @@ def assemble_viscous(vel: FunctionSpace, geometry: GeometryMap) -> AffineOperato
                            ("nu_times_a", vector_expand(kyy))])
 
 
-def assemble_divergence(vel: FunctionSpace, prs: FunctionSpace,
-                        geometry: GeometryMap) -> AffineOperator:
+def assemble_divergence(vel: FunctionSpace, prs: FunctionSpace
+                        ) -> AffineOperator:
     """b(v, q) = -int q (dv_x/dx + a dv_y/dy); rows pressure, cols velocity."""
     if vel.mesh is not prs.mesh:
         raise ValueError("velocity and pressure live on different meshes")
@@ -320,11 +320,12 @@ class _QuadraticForm:
     by theta tag.  An instance holds per-cell quadrature data only:
     reference shape values, physical gradients and the weighted test
     map, on a rule exact for the integrand.
-    ``action`` and ``tensor`` evaluate the form from it with batched
-    matmuls and one deterministic sparse scatter per row space; the
-    subclasses assemble the sparse matrices Newton needs from the same
-    data.  Nothing is written after construction, so one instance
-    serves any number of threads.
+    Everything is derived from ``_flux``: ``action`` and ``tensor``
+    evaluate the form with batched matmuls and one deterministic sparse
+    scatter per row space, and ``_newton_matrix`` assembles the matrices
+    Q(w) and dQ(w) of a Newton step by feeding ``_flux`` the local basis
+    in place of one argument.  Nothing is written after construction,
+    so one instance serves any number of threads.
     """
 
     TAGS: tuple = ()
@@ -333,9 +334,12 @@ class _QuadraticForm:
                  grads: np.ndarray, test: np.ndarray,
                  test_space: FunctionSpace):
         """``vals`` (q, n) and ``grads`` (t, q, n, 2) of the velocity
-        shape functions; ``test`` (t, local nodes, q * s) the weighted
-        test map of ``test_space``, whose local rows are scattered into
-        the global ones."""
+        shape functions; ``test`` the weighted test map of
+        ``test_space``, whose local rows are scattered into the global
+        ones.  It is (t, local nodes, q) when it reads the points alone,
+        and the rows are then (node, component m) as for convection, or
+        (t, local nodes, 2q) when it reads points and components, one row
+        per node as for SUPG."""
         self.space = vel
         self._vals = _frozen(vals)
         self._grad = _frozen(grads.transpose(3, 0, 1, 2))         # (e, t, q, n)
@@ -344,6 +348,10 @@ class _QuadraticForm:
         self._scatter = scipy.sparse.csr_matrix(
             (np.ones(dofs.size), (dofs.ravel(), np.arange(dofs.size))),
             shape=(test_space.n_scalar, dofs.size))
+        s = 2 * vals.shape[0] // test.shape[-1]     # rows per test node
+        rows = (s * dofs[:, :, None] + np.arange(s)).reshape(len(dofs), -1)
+        self._pattern = _cell_pattern(rows, vel.cell_vector_dofs(),
+                                      (s * test_space.n_scalar, vel.dof_count))
 
     def _nodal(self, x: np.ndarray, cells) -> np.ndarray:
         """(t, n, 2k) nodal values of the velocity columns x (dof, k)."""
@@ -359,12 +367,16 @@ class _QuadraticForm:
         g = self._grad[:, cells] @ self._nodal(x, cells)
         return g.reshape(*g.shape[:3], 2, -1)
 
+    def _test_local(self, f: np.ndarray) -> np.ndarray:
+        """Per-cell rows (t, local nodes, s k) of a flux f (t, q, m, k),
+        s rows per node: the test map applied to what it reads."""
+        return self._test @ f.reshape(f.shape[0], self._test.shape[-1], -1)
+
     def _test_apply(self, f: np.ndarray) -> np.ndarray:
         """The (rows, k) vector sum_(q,m) test * f of a flux f (t, q, m, k)."""
-        k = f.shape[-1]
-        local = self._test @ f.reshape(f.shape[0], self._test.shape[-1], -1)
+        local = self._test_local(f)
         return (self._scatter @ local.reshape(-1, local.shape[-1])).reshape(
-            -1, k)
+            -1, f.shape[-1])
 
     def _test_values(self, z: np.ndarray, cells) -> np.ndarray:
         """Test fields (t, q, m, i) of the columns of z: the adjoint of
@@ -413,16 +425,38 @@ class _QuadraticForm:
                     part[:, j] += zt @ f.reshape(n_w, -1).T
         return AffineOperator(list(zip(self.TAGS, out)))
 
+    def _newton_matrix(self, w: np.ndarray, slot: int) -> AffineOperator:
+        """The form at w as a matrix per tag in one of its arguments:
+        slot 1 (the transported b, a = w) gives Q(w), slot 0 (the
+        transporting a, b = w) gives dQ(w), and Q(w) + dQ(w) is the
+        Newton Jacobian of c(u, u, .) at w.  The local basis phi_n e_c
+        fills the slot, 2n columns in ``cell_vector_dofs`` order, and
+        ``_flux`` does the rest; the m != c blocks of convection's Q(w)
+        are stored zeros."""
+        # a (e, t, q, 1, k) and b (e, t, q, m, k), as in ``action``; basis
+        # column 2n + c is phi_n e_c, whose component c is phi_n
+        _, t, q, n = self._grad.shape
+        if slot:
+            a = np.moveaxis(self._values(w[:, None]), 2, 0)[..., None]
+            b = np.zeros((2, t, q, 2, 2 * n))
+            b[:, :, :, 0, 0::2] = b[:, :, :, 1, 1::2] = self._grad
+        else:
+            a = np.zeros((2, 1, q, 1, 2 * n))
+            a[0, ..., 0::2] = a[1, ..., 1::2] = self._vals[:, None, :]
+            b = self._gradients(w[:, None])
+        return AffineOperator([
+            (tag, self._pattern.assemble(self._test_local(f)))
+            for tag, f in zip(self.TAGS, self._flux(a, b))])
+
 
 class ConvectionAssembler(_QuadraticForm):
     """Trilinear form c(w, u, v) = int (w_x du/dx + a w_y du/dy) . v.
 
     Applied at the points of the degree 3k-1 rule, exact for the
-    integrand: ``action`` gives C(a_j) b_j for stacked columns and
-    ``tensor`` the reduced tensor, with no matrix.  Only Newton
-    assembles matrices: ``matrix`` C(w) in the transported argument and
-    ``transport_jacobian`` the derivative in the transporting one.  One
-    theta tag per transport direction.
+    integrand: ``action`` gives C(a_j) b_j for stacked columns,
+    ``tensor`` the reduced tensor and ``linearization`` the Newton
+    matrices, all from ``_flux``.  One theta tag per transport
+    direction.
     """
 
     TAGS = ("one", "a")
@@ -433,53 +467,16 @@ class ConvectionAssembler(_QuadraticForm):
         k = _poly_degree(vel.family)
         vals, grads, wdet = _quad_data(vel, 3 * k - 1)
         super().__init__(vel, vals, grads, vals.T * wdet[:, None, :], vel)
-        n_t = vel.mesh.n_triangles
-
-        cd = vel.cell_dofs
-        nloc = cd.shape[1]
-        shape = (vel.dof_count, vel.dof_count)
-        comp = np.arange(2)
-        rows = (2 * cd)[:, :, None, None] + comp[None, None, None, :]
-        rows = np.broadcast_to(rows, (n_t, nloc, nloc, 2))
-        cols = (2 * cd)[:, None, :, None] + comp[None, None, None, :]
-        cols = np.broadcast_to(cols, (n_t, nloc, nloc, 2))
-        self._conv_pat = CsrPattern(rows.ravel(), cols.ravel(), shape)
-        self._conv_shape = (n_t, nloc, nloc, 2)
-
-        jrows = (2 * cd)[:, :, None, None] + comp[None, None, :, None]
-        jrows = np.broadcast_to(jrows, (n_t, nloc, 2, nloc))
-        jcols = {e: np.broadcast_to((2 * cd + e)[:, None, None, :],
-                                    (n_t, nloc, 2, nloc)) for e in (0, 1)}
-        self._jac_pat = {e: CsrPattern(jrows.ravel(), jcols[e].ravel(), shape)
-                         for e in (0, 1)}
 
     def _flux(self, a, g):
         return [a[0] * g[0], a[1] * g[1]]
 
+    # perfbench wraps these two names to count and time Newton assembly
     def matrix(self, w: np.ndarray) -> AffineOperator:
-        """C(w; mu) acting on the transported argument (rows = test)."""
-        wa = self._values(w[:, None])[..., 0]                  # (t, q, e)
-        terms = []
-        for e, tag in enumerate(self.TAGS):
-            loc = (self._test * wa[:, None, :, e]) @ self._grad[e]
-            full = np.broadcast_to(loc[..., None], self._conv_shape)
-            terms.append((tag, self._conv_pat.assemble(full.ravel())))
-        return AffineOperator(terms)
+        return self._newton_matrix(w, 1)
 
     def transport_jacobian(self, w: np.ndarray) -> AffineOperator:
-        """Derivative of C(u)u with respect to the transporting slot.
-
-        Entry (2g_r+m, 2g_a+e) = c_e(phi_a, w, phi_{r,m}); adding
-        matrix(w) gives the full convective Jacobian at w.
-        """
-        _, n_t, q, _ = self._grad.shape
-        gw = self._gradients(w[:, None])[..., 0]               # (e, t, q, m)
-        terms = []
-        for e, tag in enumerate(self.TAGS):
-            h = gw[e, :, :, :, None] * self._vals[:, None, :]   # (t, q, m, a)
-            loc = self._test @ h.reshape(n_t, q, -1)            # (t, r, m, a)
-            terms.append((tag, self._jac_pat[e].assemble(loc.ravel())))
-        return AffineOperator(terms)
+        return self._newton_matrix(w, 0)
 
     def linearization(self, w: np.ndarray) -> tuple:
         """(C(w), its transport Jacobian): their sum is the Newton
@@ -492,12 +489,11 @@ class SupgAssembler(_QuadraticForm):
 
     The nonlinear term delta sum_K h_K^2 ((w . grad) u, grad q), applied
     at the points of the degree kv + (kv-1) + (kp-1) rule, exact for the
-    integrand, with delta h_K^2 folded into the weights: ``action`` and
-    ``tensor`` need no matrix.  Only Newton assembles matrices:
-    ``transport(w)`` in the transported argument and ``jacobian(w)`` the
-    derivative in the transporting one.  On the reference elements the
-    one term carries the tag "one" (a pullback through the stretch would
-    split it by direction, as the convection's "one"/"a").
+    integrand, with delta h_K^2 folded into the weights: ``action``,
+    ``tensor`` and the Newton matrices of ``linearization`` all come
+    from ``_flux``.  On the reference elements the one term carries the
+    tag "one" (a pullback through the stretch would split it by
+    direction, as the convection's "one"/"a").
     """
 
     TAGS = ("one",)
@@ -514,37 +510,15 @@ class SupgAssembler(_QuadraticForm):
         test = (pgr * wh2[:, :, None, None]).transpose(0, 2, 1, 3)
         super().__init__(vel, vals, grads, test.reshape(n_t, npl, 2 * q), prs)
 
-        cd = vel.cell_dofs
-        pd = prs.cell_dofs
-        nv = cd.shape[1]
-        shape = (prs.n_scalar, vel.dof_count)
-        comp = np.arange(2)
-        trows = np.broadcast_to(pd[:, :, None, None], (n_t, npl, 2, nv))
-        tcols = (2 * cd)[:, None, None, :] + comp[None, None, :, None]
-        tcols = np.broadcast_to(tcols, (n_t, npl, 2, nv))
-        # transport and Jacobian share it: both local blocks are laid out
-        # (cell, pressure dof, component, velocity node)
-        self._pat = CsrPattern(trows.ravel(), tcols.ravel(), shape)
-
     def _flux(self, a, g):
         return [a[0] * g[0] + a[1] * g[1]]
 
+    # perfbench wraps these two names to count and time Newton assembly
     def transport(self, w: np.ndarray) -> AffineOperator:
-        _, n_t, q, _ = self._grad.shape
-        wa = self._values(w[:, None])[..., 0]                  # (t, q, e)
-        stream = wa[:, :, 0, None] * self._grad[0] \
-            + wa[:, :, 1, None] * self._grad[1]                 # w . grad phi_n
-        test = self._test.reshape(n_t, -1, q, 2).swapaxes(2, 3)
-        loc = test.reshape(n_t, -1, q) @ stream                # (t, r, m, n)
-        return AffineOperator([("one", self._pat.assemble(loc.ravel()))])
+        return self._newton_matrix(w, 1)
 
     def jacobian(self, w: np.ndarray) -> AffineOperator:
-        _, n_t, q, _ = self._grad.shape
-        gw = self._gradients(w[:, None])[..., 0]               # (e, t, q, m)
-        s = np.einsum("trqm,etqm->treq",
-                      self._test.reshape(n_t, -1, q, 2), gw, optimize=True)
-        loc = s @ self._vals                                    # (t, r, e, n)
-        return AffineOperator([("one", self._pat.assemble(loc.ravel()))])
+        return self._newton_matrix(w, 0)
 
     def linearization(self, w: np.ndarray) -> tuple:
         """(T(w), its Jacobian): their sum is the Newton Jacobian of
@@ -643,16 +617,9 @@ def _viscous_residual_block(vel: FunctionSpace, prs: FunctionSpace,
         int_dpsi[..., 1 - comp] = 0.0
     h2 = vel.mesh.element_diameters ** 2
     loc = -delta * np.einsum("t,tn,trm->trnm", h2, lap, int_dpsi)
-    cd = vel.cell_dofs
-    pd = prs.cell_dofs
-    n_t, nv = cd.shape
-    npl = pd.shape[1]
-    comps = np.arange(2)
-    rows = np.broadcast_to(pd[:, :, None, None], (n_t, npl, nv, 2))
-    cols = (2 * cd)[:, None, :, None] + comps[None, None, None, :]
-    cols = np.broadcast_to(cols, (n_t, npl, nv, 2))
-    pat = CsrPattern(rows.ravel(), cols.ravel(), (prs.n_scalar, vel.dof_count))
-    return pat.assemble(loc.ravel())
+    pat = _cell_pattern(prs.cell_dofs, vel.cell_vector_dofs(),
+                        (prs.n_scalar, vel.dof_count))
+    return pat.assemble(loc)
 
 
 # Physical residual blocks are weighted by the tensor delta h_K^2 J J^T,
@@ -711,7 +678,6 @@ def _momentum_residual_blocks(vel: FunctionSpace, suq: AffineOperator,
 
 
 def assemble_stokes_stabilization(vel: FunctionSpace, prs: FunctionSpace,
-                                  geometry: GeometryMap,
                                   config: StabilizationConfig
                                   ) -> StabilizationOperators:
     """Residual-based, pressure-Laplacian or edge-jump blocks for the
@@ -742,7 +708,6 @@ def assemble_stokes_stabilization(vel: FunctionSpace, prs: FunctionSpace,
 
 
 def assemble_ns_stabilization(vel: FunctionSpace, prs: FunctionSpace,
-                              geometry: GeometryMap,
                               config: StabilizationConfig
                               ) -> StabilizationOperators:
     """Streamline-upwind blocks; the convective coupling is nonlinear.

@@ -210,19 +210,18 @@ class FlowSystem:
         self.lifting = (lifting if lifting is not None
                         else interpolate_lifting(self.velocity_space))
 
-        self.viscous = assemble_viscous(self.velocity_space, self.geometry)
+        self.viscous = assemble_viscous(self.velocity_space)
         self.divergence = assemble_divergence(self.velocity_space,
-                                              self.pressure_space,
-                                              self.geometry)
+                                              self.pressure_space)
         self.stab: StabilizationOperators | None = None
         if config.stabilization.active:
             if config.problem == "navier_stokes":
                 self.stab = assemble_ns_stabilization(
-                    self.velocity_space, self.pressure_space, self.geometry,
+                    self.velocity_space, self.pressure_space,
                     config.stabilization)
             else:
                 self.stab = assemble_stokes_stabilization(
-                    self.velocity_space, self.pressure_space, self.geometry,
+                    self.velocity_space, self.pressure_space,
                     config.stabilization)
         self.convection = (ConvectionAssembler(self.velocity_space)
                            if config.problem == "navier_stokes" else None)

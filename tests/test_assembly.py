@@ -4,6 +4,7 @@ independent loop assemblers, and the stabilization block examples."""
 import numpy as np
 import pytest
 import scipy.io
+import scipy.signal
 import scipy.sparse
 
 from cavityrb.assembly import (AffineOperator, ConvectionAssembler,
@@ -100,7 +101,7 @@ def test_affine_operator_validation():
 
 def test_viscous_energy_oracles():
     vel, _ = spaces(build_rect_mesh(2.0, 1.0, 4, 2))
-    a_op = assemble_viscous(vel, GeometryMap())
+    a_op = assemble_viscous(vel)
     assert [tag for tag, _ in a_op.terms] == ["nu_over_a", "nu_times_a"]
     xy = interpolate(vel, lambda x, y: (x, y)).values
     full = a_op.evaluate(GeometryMap(), (1.0, 1.0))
@@ -118,7 +119,7 @@ def test_viscous_energy_oracles():
 
 def test_viscous_p2_energy():
     vel = make_space(build_rect_mesh(2.0, 1.0, 4, 2), "P2", 2)
-    a_op = assemble_viscous(vel, GeometryMap())
+    a_op = assemble_viscous(vel)
     u = interpolate(vel, lambda x, y: (x * x, 0.0)).values
     got = u @ (a_op.evaluate(GeometryMap(), (1.0, 1.0)) @ u)
     assert got == pytest.approx(32.0 / 3.0, rel=1e-12)
@@ -126,14 +127,13 @@ def test_viscous_p2_energy():
 
 def test_viscous_requires_vector_space():
     with pytest.raises(ValueError):
-        assemble_viscous(make_space(build_rect_mesh(1, 1, 1, 1), "P1", 1),
-                         GeometryMap())
+        assemble_viscous(make_space(build_rect_mesh(1, 1, 1, 1), "P1", 1))
 
 
 def test_divergence_hand_values():
     mesh = build_rect_mesh(2.0, 1.0, 3, 2)
     vel, prs = spaces(mesh)
-    b_op = assemble_divergence(vel, prs, GeometryMap())
+    b_op = assemble_divergence(vel, prs)
     assert [tag for tag, _ in b_op.terms] == ["one", "a"]
     ones = np.ones(prs.n_scalar)
     vx = interpolate(vel, lambda x, y: (x, 0.0)).values
@@ -147,7 +147,7 @@ def test_divergence_hand_values():
 
 def test_divergence_single_triangle():
     vel, prs = spaces(unit_triangle_mesh())
-    b = assemble_divergence(vel, prs, GeometryMap()) \
+    b = assemble_divergence(vel, prs) \
         .evaluate(GeometryMap(), (1.0, 1.0))
     vx = interpolate(vel, lambda x, y: (x, 0.0)).values
     assert np.ones(3) @ (b @ vx) == pytest.approx(-0.5, rel=1e-14)
@@ -157,7 +157,7 @@ def test_divergence_of_lifting_has_zero_mean():
     # the lid field is tangential, so the mapped divergence integrates
     # to zero at every parameter (divergence theorem)
     vel, prs = spaces(build_rect_mesh(2.0, 1.0, 8, 4))
-    b_op = assemble_divergence(vel, prs, GeometryMap())
+    b_op = assemble_divergence(vel, prs)
     lift = interpolate_lifting(vel).values
     ones = np.ones(prs.n_scalar)
     for mu in [(0.5, 1.0), MU, (0.25, 3.0)]:
@@ -169,7 +169,7 @@ def test_divergence_mesh_mismatch():
     vel = make_space(build_rect_mesh(1.0, 1.0, 2, 2), "P1", 2)
     prs = make_space(build_rect_mesh(1.0, 1.0, 2, 2), "P1", 1)
     with pytest.raises(ValueError):
-        assemble_divergence(vel, prs, GeometryMap())
+        assemble_divergence(vel, prs)
 
 
 def slow_p1_blocks(mesh):
@@ -198,8 +198,8 @@ def test_affine_consistency_against_loop_assembler():
     mesh = build_rect_mesh(2.0, 1.0, 3, 2)
     vel, prs = spaces(mesh)
     geom = GeometryMap()
-    a_op = assemble_viscous(vel, geom)
-    b_op = assemble_divergence(vel, prs, geom)
+    a_op = assemble_viscous(vel)
+    b_op = assemble_divergence(vel, prs)
     kxx, kyy, bx, by = slow_p1_blocks(mesh)
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -298,18 +298,6 @@ def test_convection_skew_for_divergence_free_transport():
         assert abs(v @ (c @ v)) < 1e-10 * float(v @ v)
 
 
-def test_convection_jacobian_matches_bilinearity():
-    vel = make_space(build_rect_mesh(2.0, 1.0, 3, 2), "P1", 2)
-    conv = ConvectionAssembler(vel)
-    geom = GeometryMap()
-    rng = np.random.default_rng(8)
-    w = rng.standard_normal(vel.dof_count)
-    z = rng.standard_normal(vel.dof_count)
-    got = conv.transport_jacobian(w).evaluate(geom, MU) @ z
-    want = conv.matrix(z).evaluate(geom, MU) @ w
-    assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
-
-
 # ---------------------------------------------------------------------------
 # stabilization blocks
 
@@ -333,8 +321,7 @@ def test_stabilization_config_validation():
 def test_inactive_config_rejected():
     vel, prs = spaces(build_rect_mesh(1.0, 1.0, 2, 2))
     with pytest.raises(ValueError):
-        assemble_stokes_stabilization(vel, prs, GeometryMap(),
-                                      StabilizationConfig())
+        assemble_stokes_stabilization(vel, prs, StabilizationConfig())
 
 
 def test_pressure_laplacian_local_matrix():
@@ -342,7 +329,7 @@ def test_pressure_laplacian_local_matrix():
     geom = GeometryMap()
     delta = 0.05
     stab = assemble_stokes_stabilization(
-        vel, prs, geom, StabilizationConfig("BrezziPitkaranta", delta))
+        vel, prs, StabilizationConfig("BrezziPitkaranta", delta))
     want = 0.1 * np.array([[1.0, -0.5, -0.5],
                            [-0.5, 0.5, 0.0],
                            [-0.5, 0.0, 0.5]])
@@ -366,7 +353,7 @@ def test_pressure_laplacian_local_matrix():
 def test_brezzi_pitkaranta_energy_oracles(delta):
     vel, prs = spaces(build_rect_mesh(2.0, 1.0, 1, 1))
     stab = assemble_stokes_stabilization(
-        vel, prs, GeometryMap(), StabilizationConfig("BrezziPitkaranta", delta))
+        vel, prs, StabilizationConfig("BrezziPitkaranta", delta))
     s = stab.spq.terms[0][1]
     px = interpolate(prs, lambda x, y: x).values
     pxy = interpolate(prs, lambda x, y: x + 2.0 * y).values
@@ -382,9 +369,9 @@ def test_residual_based_p1_velocity_block_vanishes():
     vel, prs = spaces(build_rect_mesh(2.0, 1.0, 2, 1))
     geom = GeometryMap()
     fh = assemble_stokes_stabilization(
-        vel, prs, geom, StabilizationConfig("ResidualBased", 0.05))
+        vel, prs, StabilizationConfig("ResidualBased", 0.05))
     bp = assemble_stokes_stabilization(
-        vel, prs, geom, StabilizationConfig("BrezziPitkaranta", 0.05))
+        vel, prs, StabilizationConfig("BrezziPitkaranta", 0.05))
     for mu in ((0.6, 1.0), MU):
         assert np.abs(fh.suq.evaluate(geom, mu).toarray()).max() == 0.0
         assert np.abs((fh.spq.evaluate(geom, mu)
@@ -401,7 +388,7 @@ def test_viscous_residual_block_hand_value():
     delta = 0.07
     geom = GeometryMap()
     stab = assemble_stokes_stabilization(
-        vel, prs, geom, StabilizationConfig("ResidualBased", delta))
+        vel, prs, StabilizationConfig("ResidualBased", delta))
     assert [tag for tag, _ in stab.suq.terms] == [
         "nu", "nu_times_a_sq", "nu_over_a", "nu_times_a"]
     qx = interpolate(prs, lambda x, y: x).values
@@ -427,8 +414,7 @@ def test_momentum_row_blocks_hand_values():
     delta, rho = 0.07, 1.0
     geom = GeometryMap()
     stab = assemble_stokes_stabilization(
-        vel, prs, geom,
-        StabilizationConfig("ResidualBased", delta, rho=rho))
+        vel, prs, StabilizationConfig("ResidualBased", delta, rho=rho))
     assert [tag for tag, _ in stab.suv.terms] == [
         "nu_sq_over_a", "nu_sq_times_a", "nu_sq_times_a_cu",
         "nu_sq_over_a_cu"]
@@ -458,9 +444,9 @@ def test_mapped_blocks_equal_reference_forms_at_reference_stretch(rho):
     vel, prs = spaces(build_rect_mesh(2.0, 1.0, 4, 2), "P2", "P2")
     geom = GeometryMap()
     mapped = assemble_stokes_stabilization(
-        vel, prs, geom, StabilizationConfig("ResidualBased", 0.3, rho=rho))
+        vel, prs, StabilizationConfig("ResidualBased", 0.3, rho=rho))
     plain = assemble_ns_stabilization(
-        vel, prs, geom, StabilizationConfig("SUPGFamily", 0.3))
+        vel, prs, StabilizationConfig("SUPGFamily", 0.3))
     mu = (0.4, geom.mu_bar2)
     for name in ("spq", "suq"):
         want = getattr(plain, name).evaluate(geom, mu).toarray()
@@ -475,14 +461,14 @@ def test_edge_jump_hand_matrices():
     vel, prs = spaces(build_rect_mesh(1.0, 1.0, 1, 1), "P1", "P0")
     delta = 0.05
     stab = assemble_stokes_stabilization(
-        vel, prs, GeometryMap(), StabilizationConfig("EdgeJumpP1P0", delta))
+        vel, prs, StabilizationConfig("EdgeJumpP1P0", delta))
     want = delta * 2.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
     assert np.allclose(stab.spq.terms[0][1].toarray(), want, atol=1e-14)
     assert stab.suq is None
 
     vel2, prs2 = spaces(build_rect_mesh(2.0, 1.0, 1, 1), "P1", "P0")
     stab2 = assemble_stokes_stabilization(
-        vel2, prs2, GeometryMap(), StabilizationConfig("EdgeJumpP1P0", delta))
+        vel2, prs2, StabilizationConfig("EdgeJumpP1P0", delta))
     want2 = delta * 5.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
     assert np.allclose(stab2.spq.terms[0][1].toarray(), want2, atol=1e-14)
     s = stab2.spq.terms[0][1]
@@ -493,7 +479,7 @@ def test_edge_jump_requires_p0():
     vel, prs = spaces(build_rect_mesh(1.0, 1.0, 2, 2), "P1", "P1")
     with pytest.raises(ValueError):
         assemble_stokes_stabilization(
-            vel, prs, GeometryMap(), StabilizationConfig("EdgeJumpP1P0", 0.05))
+            vel, prs, StabilizationConfig("EdgeJumpP1P0", 0.05))
 
 
 def test_supg_transport_hand_values():
@@ -515,29 +501,24 @@ def test_supg_transport_hand_values():
     assert q2 @ (t2 @ u2) == pytest.approx(10.0 * delta, rel=1e-13)
 
 
-def test_supg_transport_linearity_and_jacobian():
+def test_supg_transport_linearity():
     vel, prs = spaces(build_rect_mesh(2.0, 1.0, 3, 2), "P2", "P2")
     supg = SupgAssembler(vel, prs, 1.0)
     rng = np.random.default_rng(10)
     w = rng.standard_normal(vel.dof_count)
-    z = rng.standard_normal(vel.dof_count)
 
     def transport(x):
         return supg.transport(x).evaluate(GeometryMap(), MU)
     assert np.abs((transport(2.0 * w) - 2.0 * transport(w))).max() < 1e-12
     assert np.abs(transport(np.zeros_like(w))).max() == 0.0
-    # bilinearity: d/dw [T(w) u] . z = T(z) u
-    got = supg.jacobian(w).evaluate(GeometryMap(), MU) @ z
-    want = transport(z) @ w
-    assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_ns_stabilization_wrapper():
     vel, prs = spaces(build_rect_mesh(2.0, 1.0, 2, 2), "P2", "P2")
     with pytest.raises(ValueError):
-        assemble_ns_stabilization(vel, prs, GeometryMap(),
+        assemble_ns_stabilization(vel, prs,
                                   StabilizationConfig("BrezziPitkaranta", 0.1))
-    stab = assemble_ns_stabilization(vel, prs, GeometryMap(),
+    stab = assemble_ns_stabilization(vel, prs,
                                      StabilizationConfig("SUPGFamily", 1.0))
     assert stab.supg is not None
     assert stab.spq is not None and stab.suq is not None
@@ -626,13 +607,95 @@ def test_quadratic_tensor_matches_projection_oracle(kind, block_bytes):
         assert np.abs(t - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("kind", QUADRATIC_KINDS)
+def test_newton_jacobian_per_tag_matches_action(kind):
+    # dQ(w) is the form in its transporting argument at b = w: per tag,
+    # dQ(w) z = c_tag(z, w, .), column 0 of the action on (z, w)
+    kernel, _, _ = _kernel(kind)
+    rng = np.random.default_rng(8)
+    w = rng.standard_normal(kernel.space.dof_count)
+    z = rng.standard_normal(kernel.space.dof_count)
+    _, dq = kernel.linearization(w)
+    want = kernel.action(z[:, None], w[:, None])
+    assert [tag for tag, _ in dq] == [tag for tag, _ in want]
+    for (_, m), (_, c) in zip(dq, want):
+        assert np.abs(m @ z - c[:, 0]).max() <= 1e-12 * np.abs(c).max()
+
+
+def _monomials(coef):
+    """A polynomial in x, y from {(i, j): coefficient of x^i y^j}."""
+    c = np.zeros((3, 3))
+    for (i, j), v in coef.items():
+        c[i, j] = v
+    return c
+
+
+def _rect_integral(c):
+    """Exact integral of sum c[i, j] x^i y^j over [0, 2] x [0, 1]."""
+    i, j = np.indices(c.shape)
+    return float((c * 2.0 ** (i + 1) / ((i + 1) * (j + 1))).sum())
+
+
+def _product(*polys):
+    out = np.ones((1, 1))
+    for c in polys:
+        out = scipy.signal.convolve2d(out, c)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["conv", "supg"])
+def test_quadratic_flux_matches_exact_integral(kind):
+    # quadratic w, u, v and a quadratic pressure q are exact in P2 and the
+    # kernels' rules are exact for their integrands, so per tag both
+    # Newton matrices reproduce the monomial integral over the domain:
+    # convection "one" int w_x d_x u . v, "a" int w_y d_y u . v, and
+    # SUPG delta h^2 int ((w . grad) u) . grad q on a uniform mesh
+    mesh = build_rect_mesh(2.0, 1.0, 4, 2)
+    vel, prs = spaces(mesh, "P2", "P2")
+    w = (_monomials({(1, 1): 1.0, (0, 0): 0.5}),
+         _monomials({(0, 2): -2.0, (1, 0): 1.0}))
+    u = (_monomials({(2, 0): 1.0, (0, 1): -3.0}),
+         _monomials({(1, 1): 2.0, (0, 0): 1.0}))
+    v = (_monomials({(0, 2): 1.0, (1, 0): 0.5}),
+         _monomials({(2, 0): -1.0, (0, 1): 1.0}))
+    q = _monomials({(1, 1): 1.0, (2, 0): 0.5, (0, 1): -1.0})
+    deriv = np.polynomial.polynomial.polyder
+
+    def nodal(field):
+        return interpolate(vel, lambda x, y: tuple(
+            np.polynomial.polynomial.polyval2d(x, y, c) for c in field)).values
+
+    if kind == "conv":
+        kernel = ConvectionAssembler(vel)
+        test = nodal(v)
+        want = [sum(_rect_integral(_product(w[e], deriv(u[m], axis=e), v[m]))
+                    for m in range(2)) for e in range(2)]
+    else:
+        delta = 0.7
+        h2 = mesh.element_diameters[0] ** 2
+        assert np.ptp(mesh.element_diameters) == 0.0
+        kernel = SupgAssembler(vel, prs, delta)
+        test = interpolate(prs, lambda x, y: np.polynomial.polynomial
+                           .polyval2d(x, y, q)).values
+        want = [delta * h2 * sum(_rect_integral(_product(
+            w[e], deriv(u[m], axis=e), deriv(q, axis=m)))
+            for e in range(2) for m in range(2))]
+    wv, uv = nodal(w), nodal(u)
+    q_w, _ = kernel.linearization(wv)
+    _, dq_u = kernel.linearization(uv)
+    assert [tag for tag, _ in q_w] == list(kernel.TAGS)
+    for (_, mq), (_, md), ref in zip(q_w, dq_u, want):
+        assert test @ (mq @ uv) == pytest.approx(ref, rel=1e-12)
+        assert test @ (md @ wv) == pytest.approx(ref, rel=1e-12)
+
+
 @pytest.mark.parametrize("pair,method", [("P2P1", "None"),
                                          ("P1P1", "SUPGFamily"),
                                          ("P2P2", "SUPGFamily")])
 def test_newton_jacobian_matches_central_difference(pair, method):
     # the residual is quadratic in the state, so the central difference
     # is its derivative up to round-off at any step; the Newton matrix
-    # reads Q + dQ (matrix + transport_jacobian, transport + jacobian)
+    # reads Q + dQ of each kernel's linearization, both from its _flux
     system = _system("navier_stokes", pair, method,
                      1.0 if method != "None" else 0.0, nx=8, ny=4)
     rng = np.random.default_rng(14)
@@ -744,8 +807,7 @@ def test_stabilization_terms_decay_quadratically():
     for nx in (8, 16):
         vel, prs = spaces(build_rect_mesh(2.0, 1.0, nx, nx // 2))
         stab = assemble_stokes_stabilization(
-            vel, prs, GeometryMap(),
-            StabilizationConfig("BrezziPitkaranta", 0.05))
+            vel, prs, StabilizationConfig("BrezziPitkaranta", 0.05))
         p = interpolate(prs, manufactured_pressure).values
         vals.append(p @ (stab.spq.terms[0][1] @ p))
     ratio = vals[0] / vals[1]
@@ -754,7 +816,7 @@ def test_stabilization_terms_decay_quadratically():
 
 def test_dump_affine_operator_round_trip(tmp_path):
     vel, prs = spaces(build_rect_mesh(2.0, 1.0, 2, 2))
-    b_op = assemble_divergence(vel, prs, GeometryMap())
+    b_op = assemble_divergence(vel, prs)
     paths = dump_affine_operator(b_op, tmp_path, "b")
     assert len(paths) == 2
     for path, (tag, m) in zip(paths, b_op.terms):
