@@ -61,6 +61,8 @@ THETA_TAGS = tuple(_THETA)
 STAB_METHODS = ("None", "BrezziPitkaranta", "ResidualBased", "SUPGFamily",
                 "EdgeJumpP1P0")
 
+BODY_FORCE_DEGREE = 10   # the forces are smooth callables: no rule is exact
+
 
 class GeometryMap:
     """Geometry/viscosity coefficients for the stretched cavity.
@@ -243,9 +245,9 @@ def assemble_mean_vector(prs: FunctionSpace) -> np.ndarray:
     return out
 
 
-def _force_at_quadrature(mesh, force, degree: int):
+def _force_at_quadrature(mesh, force):
     """(rule points, weights (t, q), force values (t, q, 2)) per cell."""
-    pts, w = triangle_rule(degree)
+    pts, w = triangle_rule(BODY_FORCE_DEGREE)
     lam = bary_coords(pts)
     verts = mesh.vertices[mesh.triangles]            # (t, 3, 2)
     phys = np.einsum("qi,tid->tqd", lam, verts)
@@ -257,9 +259,9 @@ def _force_at_quadrature(mesh, force, degree: int):
     return lam, wdet, fxy
 
 
-def assemble_body_force(vel: FunctionSpace, force, degree: int = 10) -> np.ndarray:
+def assemble_body_force(vel: FunctionSpace, force) -> np.ndarray:
     """(f, v) for a smooth callable force(x, y) -> (fx, fy)."""
-    lam, wdet, fxy = _force_at_quadrature(vel.mesh, force, degree)
+    lam, wdet, fxy = _force_at_quadrature(vel.mesh, force)
     vals = shape_values(vel.family, lam)
     loc = np.einsum("tq,qn,tqd->tnd", wdet, vals, fxy)
     out = np.zeros(vel.dof_count)
@@ -267,11 +269,11 @@ def assemble_body_force(vel: FunctionSpace, force, degree: int = 10) -> np.ndarr
     return out
 
 
-def assemble_stab_body_force(prs: FunctionSpace, force, delta: float,
-                             degree: int = 10) -> np.ndarray:
+def assemble_stab_body_force(prs: FunctionSpace, force, delta: float
+                             ) -> np.ndarray:
     """-delta sum_K h_K^2 (f, grad q): continuity consistency term."""
     mesh = prs.mesh
-    lam, wdet, fxy = _force_at_quadrature(mesh, force, degree)
+    lam, wdet, fxy = _force_at_quadrature(mesh, force)
     dlam = shape_dlam(prs.family, lam)
     grads = np.einsum("qni,tid->tqnd", dlam, mesh.grad_bary)
     h2 = mesh.element_diameters ** 2
@@ -282,12 +284,12 @@ def assemble_stab_body_force(prs: FunctionSpace, force, delta: float,
 
 
 def assemble_momentum_stab_body_force(vel: FunctionSpace, force,
-                                      delta: float, rho: float,
-                                      degree: int = 10) -> np.ndarray:
+                                      delta: float, rho: float
+                                      ) -> np.ndarray:
     """rho delta sum_K h_K^2 (f, lap v): the momentum-row consistency
     term of ResidualBased, without its factor nu (theta tag "nu")."""
     mesh = vel.mesh
-    _, wdet, fxy = _force_at_quadrature(mesh, force, degree)
+    _, wdet, fxy = _force_at_quadrature(mesh, force)
     lap = vel.cell_second_derivatives().sum(axis=-1)      # (t, n)
     h2 = mesh.element_diameters ** 2
     loc = rho * delta * np.einsum("t,tn,tq,tqd->tnd", h2, lap, wdet, fxy)
@@ -561,21 +563,6 @@ class StabilizationConfig:
         return self.method != "None" and self.delta > 0.0
 
 
-@dataclass
-class StabilizationOperators:
-    """Assembled stabilization blocks; absent blocks are None.
-
-    ``hifi.SADDLE_BLOCKS`` says where and with what sign each enters.
-    """
-
-    config: StabilizationConfig
-    suq: AffineOperator | None = None     # pressure rows x velocity cols
-    spq: AffineOperator | None = None     # pressure rows x pressure cols
-    suv: AffineOperator | None = None     # velocity rows x velocity cols
-    spv: AffineOperator | None = None     # velocity rows x pressure cols
-    supg: SupgAssembler | None = None     # nonlinear continuity coupling
-
-
 def _pressure_laplacian(prs: FunctionSpace, delta: float) -> scipy.sparse.csr_matrix:
     k = _poly_degree(prs.family)
     _, grads, wdet = _quad_data(prs, max(2 * (k - 1), 0))
@@ -679,9 +666,9 @@ def _momentum_residual_blocks(vel: FunctionSpace, suq: AffineOperator,
 
 def assemble_stokes_stabilization(vel: FunctionSpace, prs: FunctionSpace,
                                   config: StabilizationConfig
-                                  ) -> StabilizationOperators:
+                                  ) -> dict[str, AffineOperator]:
     """Residual-based, pressure-Laplacian or edge-jump blocks for the
-    linear problem.
+    linear problem, keyed by their ``hifi.SADDLE_BLOCKS`` names.
 
     The residual blocks are the physical forms pulled back to the
     reference rectangle, so they stay strongly consistent at every
@@ -693,38 +680,35 @@ def assemble_stokes_stabilization(vel: FunctionSpace, prs: FunctionSpace,
     if config.method == "EdgeJumpP1P0":
         if prs.family != "P0":
             raise ValueError("EdgeJumpP1P0 requires a P0 pressure space")
-        spq = AffineOperator([("one", _edge_jump(prs, config.delta))])
-        return StabilizationOperators(config, spq=spq)
+        jump = _edge_jump(prs, config.delta)
+        return {"spq": AffineOperator([("one", jump)])}
 
     spq = AffineOperator([("a", _pressure_laplacian(prs, config.delta))])
     if config.method == "BrezziPitkaranta":
-        return StabilizationOperators(config, spq=spq)
+        return {"spq": spq}
     suq = _mapped_viscous_residual(vel, prs, config.delta)
-    out = StabilizationOperators(config, suq=suq, spq=spq)
+    out = {"suq": suq, "spq": spq}      # in SADDLE_BLOCKS order
     if config.rho != 0.0:
-        out.suv, out.spv = _momentum_residual_blocks(vel, suq, config.delta,
-                                                     config.rho)
+        out["suv"], out["spv"] = _momentum_residual_blocks(
+            vel, suq, config.delta, config.rho)
     return out
 
 
 def assemble_ns_stabilization(vel: FunctionSpace, prs: FunctionSpace,
                               config: StabilizationConfig
-                              ) -> StabilizationOperators:
-    """Streamline-upwind blocks; the convective coupling is nonlinear.
+                              ) -> dict[str, AffineOperator]:
+    """Streamline-upwind blocks suq and spq, keyed by SADDLE_BLOCKS name.
 
-    Returns the linear blocks plus a SupgAssembler for the transport
-    term.  Unlike the Stokes residual blocks, these are the
-    reference-domain forms (reference h_K, no pullback through the
-    stretch).
+    The transport term is nonlinear: ``FlowSystem`` adds it as a
+    ``SupgAssembler`` kernel.  Unlike the Stokes residual blocks, these
+    are the reference-domain forms (reference h_K, no pullback).
     """
     if config.method != "SUPGFamily":
         raise ValueError("Navier-Stokes stabilization uses SUPGFamily")
-    return StabilizationOperators(
-        config,
-        suq=AffineOperator([("nu", _viscous_residual_block(vel, prs,
-                                                           config.delta))]),
-        spq=AffineOperator([("one", _pressure_laplacian(prs, config.delta))]),
-        supg=SupgAssembler(vel, prs, config.delta))
+    return {"suq": AffineOperator([("nu", _viscous_residual_block(
+                vel, prs, config.delta))]),
+            "spq": AffineOperator([("one", _pressure_laplacian(
+                prs, config.delta))])}
 
 
 # ---------------------------------------------------------------------------

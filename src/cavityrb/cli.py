@@ -200,6 +200,10 @@ def _resolve_mu(rc: RunConfig, args) -> tuple[float, float]:
     if mu1 is None or mu2 is None:
         raise ConfigError(
             "a parameter point is required (--mu1/--mu2 or online.mu1/mu2)")
+    # nu needs mu1 > 0 and the stretch a(mu2) needs mu2 > -1
+    if not (mu1 > 0 and mu2 > -1):
+        raise ConfigError(f"parameter point ({mu1:g}, {mu2:g}) lies outside "
+                          f"mu1 > 0, mu2 > -1")
     return (float(mu1), float(mu2))
 
 
@@ -281,24 +285,22 @@ def _load_model_arg(rc: RunConfig, args):
         path = os.path.join(args.out or ".", "model.rbm")
     if not os.path.exists(path):
         raise ConfigError(f"reduced model not found: {path}")
+    # (model, its ProblemConfig): a header the configuration refuses
+    # is a malformed model too
     try:
-        return load_model(path)
+        model, _ = load_model(path)
+        stab = StabilizationConfig(method=model.method, delta=model.delta,
+                                   rho=model.rho)
+        return model, ProblemConfig(
+            problem=model.problem, fe_pair=model.fe_pair, stabilization=stab,
+            mu1_range=model.mu1_range, mu2_range=model.mu2_range,
+            mu_bar2=model.mu_bar2)
     except ValueError as exc:
         raise ConfigError(f"cannot load reduced model {path}: {exc}") from exc
 
 
-def _system_for_model(model) -> FlowSystem:
-    stab = StabilizationConfig(method=model.method, delta=model.delta,
-                               rho=model.rho)
-    config = ProblemConfig(
-        problem=model.problem, fe_pair=model.fe_pair, stabilization=stab,
-        mu1_range=model.mu1_range, mu2_range=model.mu2_range,
-        mu_bar2=model.mu_bar2)
-    return FlowSystem(config, model.nx, model.ny)
-
-
 def cmd_online(rc: RunConfig, args) -> int:
-    model, _ = _load_model_arg(rc, args)
+    model, config = _load_model_arg(rc, args)
     option = args.option or rc.option
     if option == "iv":
         print("error: option iv drops both supremizers and stabilization; "
@@ -308,7 +310,7 @@ def cmd_online(rc: RunConfig, args) -> int:
     mu = _resolve_mu(rc, args)
     om = with_option(model, option)
     u, p, info = solve_reduced(om, mu)
-    system = _system_for_model(model)
+    system = FlowSystem(config, model.nx, model.ny)
     sol = reconstruct(om, system, u, p, mu, diagnostics=info)
     truth = system.solve(mu)
     eu, ep = relative_errors(system, truth, sol.velocity.values,
@@ -335,8 +337,8 @@ def cmd_online(rc: RunConfig, args) -> int:
 
 
 def cmd_sweep(rc: RunConfig, args) -> int:
-    model, _ = _load_model_arg(rc, args)
-    system = _system_for_model(model)
+    model, config = _load_model_arg(rc, args)
+    system = FlowSystem(config, model.nx, model.ny)
     report = error_sweep(system, model, rc.seed, test_size=rc.test_size,
                          threads=rc.threads)
     out = _out_dir(args)

@@ -188,9 +188,6 @@ class FeFunction:
                 f"coefficient length {self.values.shape} does not match "
                 f"space dimension {self.space.dof_count}")
 
-    def copy(self) -> "FeFunction":
-        return FeFunction(self.space, self.values.copy())
-
 
 def make_space(mesh: Mesh, family: str, components: int) -> FunctionSpace:
     """Create a Lagrange space; see FunctionSpace for conventions."""

@@ -38,7 +38,7 @@ from .assembly import (
     ConvectionAssembler,
     GeometryMap,
     StabilizationConfig,
-    StabilizationOperators,
+    SupgAssembler,
     assemble_body_force,
     assemble_divergence,
     assemble_gram,
@@ -59,8 +59,19 @@ PAIRS = {"P1P1": ("P1", "P1"), "P2P2": ("P2", "P2"),
 
 PROBLEMS = ("stokes", "navier_stokes")
 
+# the stabilization methods each (problem, pair) accepts besides "None":
+# P2P1 is inf-sup stable and P1P0 has its own edge jump
+PAIR_METHODS = {
+    ("stokes", "P1P1"): ("BrezziPitkaranta", "ResidualBased"),
+    ("stokes", "P2P2"): ("BrezziPitkaranta", "ResidualBased"),
+    ("stokes", "P1P0"): ("EdgeJumpP1P0",),
+    ("navier_stokes", "P1P1"): ("SUPGFamily",),
+    ("navier_stokes", "P2P2"): ("SUPGFamily",),
+}
+
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
+CONTINUATION_STEPS = 4   # Reynolds steps of the continuation fallback
 # Newton steps after the first run GMRES preconditioned by the last
 # factored Jacobian: one restart cycle of KRYLOV_RESTART iterations, to
 # the relative tolerance min(KRYLOV_FORCING, ||r_k|| / ref)
@@ -71,14 +82,15 @@ KRYLOV_FORCING = 0.1
 class SaddleBlock(NamedTuple):
     """One block of the saddle system.
 
-    ``name`` is the operator (a key of ``FlowSystem.operators`` and the
-    ``ReducedModel`` field of its projection); ``rows`` and ``cols`` are
-    its spaces, "v" velocity and "p" pressure.  A ``transposed`` block
-    is the named operator's transpose.  ``stab`` marks a stabilization
-    term: online options iii/iv drop it, in the matrix and in the lifting
-    right-hand side alike.  A quadratic block has ``cols`` "w": it is
-    sign * Q(u) u in the total velocity u, applied and linearized by the
-    kernel ``FlowSystem.quadratic[name]``.
+    ``name`` is the operator (a key of ``FlowSystem.operators`` and of
+    the stabilization assemblers' dicts, the ``ReducedModel`` field of
+    its projection); ``rows`` and ``cols`` are its spaces, "v" velocity
+    and "p" pressure.  A ``transposed`` block is the named operator's
+    transpose.  ``stab`` marks a stabilization term: online options
+    iii/iv drop it, in the matrix and in the lifting right-hand side
+    alike.  A quadratic block has ``cols`` "w": it is sign * Q(u) u in
+    the total velocity u, applied and linearized by the kernel
+    ``FlowSystem.quadratic[name]``.
     """
 
     name: str
@@ -134,21 +146,15 @@ class ProblemConfig:
             self.mu2_range = (1.5, 3.0) if ns else (1.0, 3.0)
         if self.mu1_range[0] >= self.mu1_range[1] or self.mu1_range[0] <= 0:
             raise ValueError("mu1 range must be positive and increasing")
-        if self.mu2_range[0] >= self.mu2_range[1]:
-            raise ValueError("mu2 range must be increasing")
-        m = self.stabilization.method
-        if self.fe_pair == "P2P1" and m != "None":
-            raise ValueError("P2P1 is inf-sup stable; stabilization must be None")
-        if self.fe_pair == "P1P0" and m not in ("None", "EdgeJumpP1P0"):
-            raise ValueError("P1P0 supports EdgeJumpP1P0 or None")
-        if m == "EdgeJumpP1P0" and self.fe_pair != "P1P0":
-            raise ValueError("EdgeJumpP1P0 requires the P1P0 pair")
-        if self.problem == "stokes" and m == "SUPGFamily":
-            raise ValueError("SUPGFamily is the Navier-Stokes family")
-        if self.problem == "navier_stokes" and m in ("BrezziPitkaranta",
-                                                     "ResidualBased",
-                                                     "EdgeJumpP1P0"):
-            raise ValueError("Navier-Stokes stabilization uses SUPGFamily")
+        # the stretch a(mu2) = (1 + mu2) / (1 + mu_bar2) must stay positive
+        if self.mu2_range[0] >= self.mu2_range[1] or self.mu2_range[0] <= -1:
+            raise ValueError("mu2 range must exceed -1 and be increasing")
+        self.geometry()     # refuses mu_bar2 <= -1
+        accepted = ("None",) + PAIR_METHODS.get(
+            (self.problem, self.fe_pair), ())
+        if self.stabilization.method not in accepted:
+            raise ValueError(f"{self.problem} {self.fe_pair} accepts "
+                             f"stabilization {' or '.join(accepted)}")
 
     @property
     def viscosity_mode(self) -> str:
@@ -186,13 +192,13 @@ class FlowSystem:
     Everything parameter-independent (affine matrix terms, Gram
     matrices, body forces, the quadratic terms' quadrature data) is
     assembled once; per-parameter work is limited to weighted sums,
-    boundary restriction and the linear solves.  ``operators`` holds
-    the affine operator of every ``SADDLE_BLOCKS`` name the
-    configuration has, ``quadratic`` the kernel of every
-    ``QUADRATIC_TERMS`` name: its ``action`` and ``tensor`` work at
-    quadrature points, and its ``linearization`` assembles the two
-    matrices of a Newton Jacobian, looked up on the kernel's class at
-    every call.
+    boundary restriction and the linear solves.  The two dicts are the
+    one record of the configuration's terms: ``operators`` holds the
+    affine operator of every ``SADDLE_BLOCKS`` name it has, in table
+    order, ``quadratic`` the kernel of every ``QUADRATIC_TERMS`` name:
+    its ``action`` and ``tensor`` work at quadrature points, and its
+    ``linearization`` assembles the two matrices of a Newton Jacobian,
+    looked up on the kernel's class at every call.
     """
 
     def __init__(self, config: ProblemConfig, nx: int, ny: int,
@@ -210,44 +216,27 @@ class FlowSystem:
         self.lifting = (lifting if lifting is not None
                         else interpolate_lifting(self.velocity_space))
 
-        self.viscous = assemble_viscous(self.velocity_space)
-        self.divergence = assemble_divergence(self.velocity_space,
-                                              self.pressure_space)
-        self.stab: StabilizationOperators | None = None
-        if config.stabilization.active:
-            if config.problem == "navier_stokes":
-                self.stab = assemble_ns_stabilization(
-                    self.velocity_space, self.pressure_space,
-                    config.stabilization)
-            else:
-                self.stab = assemble_stokes_stabilization(
-                    self.velocity_space, self.pressure_space,
-                    config.stabilization)
-        self.convection = (ConvectionAssembler(self.velocity_space)
-                           if config.problem == "navier_stokes" else None)
-        # the kernel of each QUADRATIC_TERMS name the configuration has
-        self.quadratic = {}
-        if self.convection is not None:
-            self.quadratic["conv"] = self.convection
-        if self.stab is not None and self.stab.supg is not None:
-            self.quadratic["tn"] = self.stab.supg
-        self.operators = {"visc": self.viscous, "b": self.divergence}
-        for blk in SADDLE_BLOCKS:
-            op = getattr(self.stab, blk.name, None)
-            if op is not None:
-                self.operators[blk.name] = op
+        vel, prs = self.velocity_space, self.pressure_space
+        sc, ns = config.stabilization, config.problem == "navier_stokes"
+        self.operators = {"visc": assemble_viscous(vel),
+                          "b": assemble_divergence(vel, prs)}
+        self.quadratic = {"conv": ConvectionAssembler(vel)} if ns else {}
+        if sc.active:
+            assemble = (assemble_ns_stabilization if ns
+                        else assemble_stokes_stabilization)
+            self.operators.update(assemble(vel, prs, sc))
+            if sc.method == "SUPGFamily":
+                self.quadratic["tn"] = SupgAssembler(vel, prs, sc.delta)
 
         # (row space, stabilization flag, theta tag, vector) per body force
         self.body_terms = []
         if body_force is not None:
-            sc, vel = config.stabilization, self.velocity_space
             self.body_terms.append(
                 ("v", False, "one", assemble_body_force(vel, body_force)))
-            if self.stab is not None and sc.method != "EdgeJumpP1P0":
-                cont = assemble_stab_body_force(
-                    self.pressure_space, body_force, sc.delta)
+            if sc.active and sc.method != "EdgeJumpP1P0":
+                cont = assemble_stab_body_force(prs, body_force, sc.delta)
                 self.body_terms.append(("p", True, "one", cont))
-            if getattr(self.stab, "suv", None) is not None:
+            if "suv" in self.operators:
                 mom = assemble_momentum_stab_body_force(
                     vel, body_force, sc.delta, sc.rho)
                 self.body_terms.append(("v", True, "nu", mom))
@@ -457,9 +446,8 @@ class FlowSystem:
                 "n_dof": k.shape[0], "rcond": lu.rcond}
         return self._pack_solution(mu, u_full, p, diag)
 
-    def solve_navier_stokes(self, mu, initial_guess: FeSolution | None = None,
-                            tol: float = NEWTON_TOL,
-                            max_iter: int = NEWTON_MAX_ITER) -> FeSolution:
+    def solve_navier_stokes(self, mu, initial_guess: FeSolution | None = None
+                            ) -> FeSolution:
         """Inexact Newton on the stabilized nonlinear system.
 
         The linear saddle matrix at mu is evaluated once per solve.  The
@@ -490,13 +478,13 @@ class FlowSystem:
             r = self.residual(mu, u_full, p, lam)
             rn = float(np.linalg.norm(r))
             history.append(rn)
-            if rn <= tol * ref:
+            if rn <= NEWTON_TOL * ref:
                 break
-            if iterations >= max_iter:
+            if iterations >= NEWTON_MAX_ITER:
                 raise NonConvergenceError(
                     f"Newton stalled after {iterations} iterations at "
                     f"mu={tuple(mu)} (residual {rn:.3e}, target "
-                    f"{tol * ref:.3e})", history)
+                    f"{NEWTON_TOL * ref:.3e})", history)
             u_t = u_full + self.lifting.values
             delta = None
             if lu is not None:
@@ -540,15 +528,15 @@ class FlowSystem:
             maxiter=1, M=precond, callback=callback, callback_type="pr_norm")
         return delta if info == 0 else None
 
-    def solve_navier_stokes_continued(self, mu, steps: int = 4) -> FeSolution:
+    def solve_navier_stokes_continued(self, mu) -> FeSolution:
         """Newton with geometric Reynolds continuation as a fallback."""
         try:
             return self.solve_navier_stokes(mu)
         except NonConvergenceError:
             guess = None
             mu1, mu2 = mu[0], mu[1]
-            for k in range(1, steps + 1):
-                mu1_k = mu1 ** (k / steps)
+            for k in range(1, CONTINUATION_STEPS + 1):
+                mu1_k = mu1 ** (k / CONTINUATION_STEPS)
                 guess = self.solve_navier_stokes((mu1_k, mu2),
                                                  initial_guess=guess)
             return guess

@@ -65,12 +65,6 @@ def option_keeps_stabilization(option: str) -> bool:
     return option in ("i", "ii")
 
 
-def _check_option(option: str) -> str:
-    if option not in OPTIONS:
-        raise ValueError(f"unknown option {option!r}; expected one of {OPTIONS}")
-    return option
-
-
 class SupremizerOperator:
     """Velocity field realizing the inf-sup supremum for a pressure.
 
@@ -86,7 +80,7 @@ class SupremizerOperator:
         self._lu = SparseLU(xu.tocsc(), context="velocity Gram factorization")
 
     def solve(self, q: np.ndarray, mu) -> np.ndarray:
-        b_mu = self.system.divergence.evaluate(self.system.geometry, mu)
+        b_mu = self.system.operators["b"].evaluate(self.system.geometry, mu)
         rhs = (b_mu.T @ q)[self.free]
         out = np.zeros(self.system.velocity_space.dof_count)
         out[self.free] = self._lu.solve(rhs)
@@ -113,7 +107,7 @@ _LIFTING_RHS = {("v", False): "fvisc", ("v", True): "fstab",
 # "n" the greedy snapshots, None a full-order or fixed axis.  The table
 # drives truncation, the saddle operator and the .rbm format.
 _AXES = {
-    "z_v": (None, "v"), "z_p": (None, "p"), "lifting": (None,),
+    "z_v": (None, "v"), "z_p": (None, "p"),
     **{blk.name: (blk.rows, blk.cols) for blk in SADDLE_BLOCKS
        if not blk.transposed},
     **{name: (rows,) for (rows, _), name in _LIFTING_RHS.items()},
@@ -241,7 +235,6 @@ class ReducedModel:
     n_u: int
     z_v: np.ndarray
     z_p: np.ndarray
-    lifting: np.ndarray
     visc: AffineOperator
     b: AffineOperator
     suq: AffineOperator | None
@@ -406,7 +399,6 @@ def build_reduced_model(system: FlowSystem, mus: np.ndarray,
                                         xp_full)
     _report_drops("pressure", n, kept_p)
     zv = np.concatenate([z_u, z_s], axis=1)
-    lvec = system.lifting.values
     steps = np.arange(n)
 
     basis = {"v": zv, "p": z_p}
@@ -420,13 +412,13 @@ def build_reduced_model(system: FlowSystem, mus: np.ndarray,
 
     # T[i, j, k] = (test i, Q(w_j) w_k) on w = [l | Z_v], at quadrature
     # points
-    w = np.column_stack([lvec, zv])
+    w = np.column_stack([system.lifting.values, zv])
     for name, rows, _, _, _, _ in QUADRATIC_TERMS:
         if name in system.quadratic:
             arrays[name] = system.quadratic[name].tensor(basis[rows], w)
 
     arrays.update(
-        z_v=zv, z_p=z_p, lifting=lvec.copy(),
+        z_v=zv, z_p=z_p,
         xu=np.asarray(zv.T @ (xu_full @ zv)),
         xp=np.asarray(z_p.T @ (xp_full @ z_p)),
         mus=np.asarray(mus, dtype=float).reshape(n, 2),
@@ -450,7 +442,9 @@ def with_option(model: ReducedModel, option: str) -> ReducedModel:
     Nothing is sliced here: the option alone tells the solves how many
     leading unknowns to take and whether to keep the stabilization.
     """
-    _check_option(option)
+    if option not in OPTIONS:
+        raise ValueError(f"unknown option {option!r}; expected one of "
+                         f"{OPTIONS}")
     if option_uses_supremizers(option) and model.z_v.shape[1] == model.n_u:
         raise ValueError(
             f"option {option} needs supremizers but the model stores none")
@@ -636,7 +630,7 @@ def greedy_offline(system: FlowSystem, n_max: int, train_size: int,
                0.5 * (cfg.mu2_range[0] + cfg.mu2_range[1]))
     next_ind = 1.0
     model = None
-    certified = ("i", "ii") if system.stab is not None else ("i",)
+    certified = ("i", "ii") if cfg.stabilization.active else ("i",)
     for n in range(1, n_max + 1):
         snap = _snapshot(system, model, next_mu)
         u = snap.velocity.values
@@ -722,7 +716,7 @@ def modified_infsup(model: ReducedModel, mu) -> float:
 # serialization
 
 
-_RBM_FORMAT = "cavityrb-rbm-6"
+_RBM_FORMAT = "cavityrb-rbm-7"
 
 # header fields: every ReducedModel field that is not an array
 _HEADER = tuple(f for f in dataclasses.fields(ReducedModel)
@@ -795,8 +789,9 @@ def load_model(path):
             # earlier files hold stabilization terms projected from other
             # operators (rbm-1: reference-domain blocks), the full-order
             # supremizers (rbm-2), Suv l inside the Galerkin fvisc (rbm-3),
-            # the quadratic terms as seven arrays on Z_v alone (rbm-4), or
-            # this format's arrays as 17-digit text lines (rbm-5)
+            # the quadratic terms as seven arrays on Z_v alone (rbm-4),
+            # this format's arrays as 17-digit text lines (rbm-5), or an
+            # unread copy of the full-order lifting (rbm-6)
             raise ValueError(f"unsupported model format "
                              f"{header.get('format')!r}; expected {_RBM_FORMAT}")
         table = [line().split() for _ in range(int(header["arrays"]))]

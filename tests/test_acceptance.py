@@ -342,10 +342,11 @@ def test_criterion_11_projection_identities(acceptance_report, p1p1_offline):
         system, model, _, _ = p1p1_offline
         rng = np.random.default_rng(SEED)
         zv, zp = model.z_velocity(), model.z_p
-        pairs = [("visc", model.visc, system.viscous.terms, zv, zv),
-                 ("b", model.b, system.divergence.terms, zp, zv),
-                 ("spq", model.spq, system.stab.spq, zp, zp),
-                 ("suq", model.suq, system.stab.suq, zp, zv)]
+        ops = system.operators
+        pairs = [("visc", model.visc, ops["visc"].terms, zv, zv),
+                 ("b", model.b, ops["b"].terms, zp, zv),
+                 ("spq", model.spq, ops.get("spq"), zp, zp),
+                 ("suq", model.suq, ops.get("suq"), zp, zv)]
         worst_op = 0.0
         for _, reduced, full, left, right in pairs:
             if full is None:     # a block this stabilization does not have
@@ -360,8 +361,7 @@ def test_criterion_11_projection_identities(acceptance_report, p1p1_offline):
                                    gap / (1.0 + np.linalg.norm(direct)))
         sup_op = SupremizerOperator(system)
         xu, free = system.gram_velocity, system.free
-        bt = system.divergence.evaluate(system.config.geometry(),
-                                        (0.6, 2.0)).T
+        bt = ops["b"].evaluate(system.config.geometry(), (0.6, 2.0)).T
         worst_sup = 0.0
         for _ in range(20):
             q = zp @ rng.standard_normal(zp.shape[1])

@@ -333,15 +333,15 @@ def test_pressure_laplacian_local_matrix():
     want = 0.1 * np.array([[1.0, -0.5, -0.5],
                            [-0.5, 0.5, 0.0],
                            [-0.5, 0.0, 0.5]])
-    at_ref = stab.spq.evaluate(geom, (1.0, 1.0)).toarray()
+    at_ref = stab["spq"].evaluate(geom, (1.0, 1.0)).toarray()
     assert np.allclose(at_ref, want, atol=1e-14)
     # the pressure Laplacian is the whole method
-    assert stab.suq is None and stab.suv is None and stab.spv is None
+    assert set(stab) == {"spq"}
     # mapped: q = x_hat is physical x/a, q = y_hat is y; with dx = a dx_hat
     # and the weight h^2 diag(a^2, 1) (h^2 = 2, area 1/2) both give
     # delta * a, so the operator is a times the reference one
     a = geom.a(MU[1])
-    s = stab.spq.evaluate(geom, MU)
+    s = stab["spq"].evaluate(geom, MU)
     qx = interpolate(prs, lambda x, y: x).values
     qy = interpolate(prs, lambda x, y: y).values
     assert qx @ (s @ qx) == pytest.approx(delta * a, rel=1e-13)
@@ -354,7 +354,7 @@ def test_brezzi_pitkaranta_energy_oracles(delta):
     vel, prs = spaces(build_rect_mesh(2.0, 1.0, 1, 1))
     stab = assemble_stokes_stabilization(
         vel, prs, StabilizationConfig("BrezziPitkaranta", delta))
-    s = stab.spq.terms[0][1]
+    s = stab["spq"].terms[0][1]
     px = interpolate(prs, lambda x, y: x).values
     pxy = interpolate(prs, lambda x, y: x + 2.0 * y).values
     assert px @ (s @ px) == pytest.approx(10.0 * delta, rel=1e-13)
@@ -373,9 +373,9 @@ def test_residual_based_p1_velocity_block_vanishes():
     bp = assemble_stokes_stabilization(
         vel, prs, StabilizationConfig("BrezziPitkaranta", 0.05))
     for mu in ((0.6, 1.0), MU):
-        assert np.abs(fh.suq.evaluate(geom, mu).toarray()).max() == 0.0
-        assert np.abs((fh.spq.evaluate(geom, mu)
-                       - bp.spq.evaluate(geom, mu))).max() == 0.0
+        assert np.abs(fh["suq"].evaluate(geom, mu).toarray()).max() == 0.0
+        assert np.abs((fh["spq"].evaluate(geom, mu)
+                       - bp["spq"].evaluate(geom, mu))).max() == 0.0
 
 
 def test_viscous_residual_block_hand_value():
@@ -389,7 +389,7 @@ def test_viscous_residual_block_hand_value():
     geom = GeometryMap()
     stab = assemble_stokes_stabilization(
         vel, prs, StabilizationConfig("ResidualBased", delta))
-    assert [tag for tag, _ in stab.suq.terms] == [
+    assert [tag for tag, _ in stab["suq"].terms] == [
         "nu", "nu_times_a_sq", "nu_over_a", "nu_times_a"]
     qx = interpolate(prs, lambda x, y: x).values
     qy = interpolate(prs, lambda x, y: y).values
@@ -398,7 +398,7 @@ def test_viscous_residual_block_hand_value():
              ((lambda x, y: (0.0, x * x)), qy, lambda a: 1.0 / a),
              ((lambda x, y: (0.0, y * y)), qy, lambda a: a))
     for mu, nu in (((1.0, 1.0), 1.0), (MU, 0.6)):
-        suq = stab.suq.evaluate(geom, mu)
+        suq = stab["suq"].evaluate(geom, mu)
         a = geom.a(mu[1])
         for field, q, factor in cases:
             u = interpolate(vel, field).values
@@ -415,25 +415,25 @@ def test_momentum_row_blocks_hand_values():
     geom = GeometryMap()
     stab = assemble_stokes_stabilization(
         vel, prs, StabilizationConfig("ResidualBased", delta, rho=rho))
-    assert [tag for tag, _ in stab.suv.terms] == [
+    assert [tag for tag, _ in stab["suv"].terms] == [
         "nu_sq_over_a", "nu_sq_times_a", "nu_sq_times_a_cu",
         "nu_sq_over_a_cu"]
-    assert [tag for tag, _ in stab.spv.terms] == [
-        tag for tag, _ in stab.suq.terms]
+    assert [tag for tag, _ in stab["spv"].terms] == [
+        tag for tag, _ in stab["suq"].terms]
     ux = interpolate(vel, lambda x, y: (x * x, 0.0)).values
     uy = interpolate(vel, lambda x, y: (0.0, x * x)).values
     p = interpolate(prs, lambda x, y: x).values
     for mu, nu in (((1.0, 1.0), 1.0), (MU, 0.6)):
         a = geom.a(mu[1])
-        suv = stab.suv.evaluate(geom, mu)
-        spv = stab.spv.evaluate(geom, mu)
+        suv = stab["suv"].evaluate(geom, mu)
+        spv = stab["spv"].evaluate(geom, mu)
         assert ux @ (suv @ ux) == pytest.approx(
             4.0 * rho * delta * nu * nu / a, rel=1e-13)
         assert uy @ (suv @ uy) == pytest.approx(
             4.0 * rho * delta * nu * nu / a ** 3, rel=1e-13)
         assert ux @ (spv @ p) == pytest.approx(-2.0 * rho * delta * nu,
                                                rel=1e-13)
-        assert np.abs((spv - rho * stab.suq.evaluate(geom, mu).T)).max() \
+        assert np.abs((spv - rho * stab["suq"].evaluate(geom, mu).T)).max() \
             < 1e-15
 
 
@@ -449,11 +449,11 @@ def test_mapped_blocks_equal_reference_forms_at_reference_stretch(rho):
         vel, prs, StabilizationConfig("SUPGFamily", 0.3))
     mu = (0.4, geom.mu_bar2)
     for name in ("spq", "suq"):
-        want = getattr(plain, name).evaluate(geom, mu).toarray()
-        got = getattr(mapped, name).evaluate(geom, mu).toarray()
+        want = plain[name].evaluate(geom, mu).toarray()
+        got = mapped[name].evaluate(geom, mu).toarray()
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-    at_mu = mapped.spq.evaluate(geom, MU).toarray()
-    ref = plain.spq.evaluate(geom, MU).toarray()
+    at_mu = mapped["spq"].evaluate(geom, MU).toarray()
+    ref = plain["spq"].evaluate(geom, MU).toarray()
     assert np.abs(at_mu - geom.a(MU[1]) * ref).max() < 1e-15
 
 
@@ -463,15 +463,15 @@ def test_edge_jump_hand_matrices():
     stab = assemble_stokes_stabilization(
         vel, prs, StabilizationConfig("EdgeJumpP1P0", delta))
     want = delta * 2.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert np.allclose(stab.spq.terms[0][1].toarray(), want, atol=1e-14)
-    assert stab.suq is None
+    assert np.allclose(stab["spq"].terms[0][1].toarray(), want, atol=1e-14)
+    assert set(stab) == {"spq"}
 
     vel2, prs2 = spaces(build_rect_mesh(2.0, 1.0, 1, 1), "P1", "P0")
     stab2 = assemble_stokes_stabilization(
         vel2, prs2, StabilizationConfig("EdgeJumpP1P0", delta))
     want2 = delta * 5.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert np.allclose(stab2.spq.terms[0][1].toarray(), want2, atol=1e-14)
-    s = stab2.spq.terms[0][1]
+    assert np.allclose(stab2["spq"].terms[0][1].toarray(), want2, atol=1e-14)
+    s = stab2["spq"].terms[0][1]
     assert np.abs(s @ np.ones(2)).max() < 1e-15
 
 
@@ -520,8 +520,8 @@ def test_ns_stabilization_wrapper():
                                   StabilizationConfig("BrezziPitkaranta", 0.1))
     stab = assemble_ns_stabilization(vel, prs,
                                      StabilizationConfig("SUPGFamily", 1.0))
-    assert stab.supg is not None
-    assert stab.spq is not None and stab.suq is not None
+    # the transport term is FlowSystem's SupgAssembler kernel, not a block
+    assert set(stab) == {"suq", "spq"}
 
 
 # ---------------------------------------------------------------------------
@@ -742,10 +742,10 @@ def test_rhs_lifting_identities():
     assert set(system.lifting_rhs()) == {("v", False), ("p", False)}
     for mu in [MU, (0.3, 2.7)]:
         f, g = _lifting_rhs(system, mu)
-        assert np.abs(f + system.viscous.evaluate(geom, mu) @ lift).max() \
-            < 1e-13
-        assert np.abs(g + system.divergence.evaluate(geom, mu) @ lift).max() \
-            < 1e-13
+        assert np.abs(f + system.operators["visc"].evaluate(geom, mu)
+                      @ lift).max() < 1e-13
+        assert np.abs(g + system.operators["b"].evaluate(geom, mu)
+                      @ lift).max() < 1e-13
 
 
 def test_rhs_zero_lifting():
@@ -758,13 +758,13 @@ def test_rhs_stabilized_continuity_term():
     system = _system(pair="P2P2", method="ResidualBased", delta=0.05)
     geom, lift = system.geometry, system.lifting.values
     _, g = _lifting_rhs(system, MU)
-    want = -system.divergence.evaluate(geom, MU) @ lift \
-        + system.stab.suq.evaluate(geom, MU) @ lift
+    want = -system.operators["b"].evaluate(geom, MU) @ lift \
+        + system.operators["suq"].evaluate(geom, MU) @ lift
     assert np.abs(g - want).max() < 1e-13
     # the viscous-residual lifting is a stabilization term of its own
     stab_g = system.lifting_rhs()[("p", True)].evaluate(geom, MU)
-    assert np.abs(stab_g - system.stab.suq.evaluate(geom, MU) @ lift).max() \
-        < 1e-13
+    assert np.abs(stab_g - system.operators["suq"].evaluate(geom, MU)
+                  @ lift).max() < 1e-13
 
 
 def test_rhs_navier_stokes_adds_convective_lifting():
@@ -779,7 +779,8 @@ def test_rhs_navier_stokes_adds_convective_lifting():
     extra = ns.residual(mu_ns, zero_u, zero_p) \
         - st.residual(mu_st, zero_u, zero_p)
     lift = ns.lifting.values
-    want = ns.convection.matrix(lift).evaluate(ns.geometry, mu_ns) @ lift
+    want = ns.quadratic["conv"].matrix(lift).evaluate(ns.geometry, mu_ns) \
+        @ lift
     nf = ns.n_free
     assert np.abs(extra[:nf] - want[ns.free]).max() < 1e-13
     assert np.abs(extra[nf:]).max() < 1e-14
@@ -809,7 +810,7 @@ def test_stabilization_terms_decay_quadratically():
         stab = assemble_stokes_stabilization(
             vel, prs, StabilizationConfig("BrezziPitkaranta", 0.05))
         p = interpolate(prs, manufactured_pressure).values
-        vals.append(p @ (stab.spq.terms[0][1] @ p))
+        vals.append(p @ (stab["spq"].terms[0][1] @ p))
     ratio = vals[0] / vals[1]
     assert 3.0 <= ratio <= 5.0     # O(h^2) decay of the added term
 

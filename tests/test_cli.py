@@ -160,6 +160,26 @@ def test_missing_online_point_exits_2(tmp_path, capsys):
     assert "parameter point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,text", [
+    (["fe-solve", "--mu1", "-0.5", "--mu2", "2.0"], ""),     # nu < 0
+    (["fe-solve", "--mu1", "0.5", "--mu2", "-1"], ""),       # a = 0
+    (["fe-solve", "--mu1", "0.5", "--mu2", "-3"], ""),       # a < 0
+    (["offline"], "mu2.min = -3\nmu2.max = -2\n"),
+    (["fe-solve", "--mu1", "0.5", "--mu2", "2.0"], "mu_bar2 = -1\n"),
+])
+def test_out_of_domain_parameters_exit_2(tmp_path, capsys, command, text):
+    # nu = mu1 needs mu1 > 0; the stretch (1 + mu2) / (1 + mu_bar2)
+    # needs mu2 > -1 and mu_bar2 > -1
+    path = write_config(tmp_path, "fe_pair = P1P1\nmesh.nx = 4\n"
+                        "mesh.ny = 2\nstabilization.method = "
+                        "BrezziPitkaranta\nstabilization.delta = 0.05\n"
+                        "n_max = 2\ntrain_size = 4\nseed = 1\n" + text)
+    code = main([*command, "--config", path, "--out", str(tmp_path)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "model.rbm")
+
+
 def test_missing_model_exits_2(tmp_path, capsys):
     path = write_config(tmp_path)
     code = main(["sweep", "--config", path, "--out", str(tmp_path)])
@@ -170,7 +190,8 @@ def test_missing_model_exits_2(tmp_path, capsys):
 def test_old_format_model_exits_2(tmp_path, capsys):
     path = write_config(tmp_path)
     model = tmp_path / "model.rbm"
-    for old in ("cavityrb-rbm-1", "cavityrb-rbm-4", "cavityrb-rbm-5"):
+    for old in ("cavityrb-rbm-1", "cavityrb-rbm-4", "cavityrb-rbm-5",
+                "cavityrb-rbm-6"):
         model.write_text(f"format = {old}\narrays = 0\n")
         code = main(["online", "--config", path, "--model", str(model)])
         assert code == 2
@@ -181,7 +202,7 @@ def test_incomplete_model_exits_2(tmp_path, capsys):
     # the current format line, but no header keys and no arrays
     path = write_config(tmp_path)
     model = tmp_path / "model.rbm"
-    model.write_text("format = cavityrb-rbm-6\narrays = 0\n")
+    model.write_text("format = cavityrb-rbm-7\narrays = 0\n")
     code = main(["online", "--config", path, "--model", str(model)])
     assert code == 2
     err = capsys.readouterr().err
@@ -333,6 +354,26 @@ def test_model_with_corrupted_n_u_exits_2(pipeline, tmp_path, capsys):
     assert code == 2
     assert "n_u = 9" in capsys.readouterr().err
     assert not (tmp_path / "online.txt").exists()
+
+
+@pytest.mark.parametrize("line,edited", [
+    (b"\nmu_bar2 = 1\n", b"\nmu_bar2 =-1\n"),     # stretch undefined
+    (b"\nfe_pair = P1P1\n", b"\nfe_pair = P2P1\n"),  # pair refuses BP
+])
+def test_model_with_refused_configuration_exits_2(pipeline, tmp_path,
+                                                  capsys, line, edited):
+    # a header the configuration refuses, edited in place at equal length
+    cfg, out = pipeline
+    raw = read_bytes(out / "model.rbm")
+    assert raw.count(line) == 1
+    model = tmp_path / "model.rbm"
+    model.write_bytes(raw.replace(line, edited))
+    for command in ("online", "sweep", "infsup"):
+        code = main([command, "--config", cfg, "--out", str(tmp_path),
+                     "--model", str(model)])
+        assert code == 2
+        assert "cannot load reduced model" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.txt")) and not any(tmp_path.glob("*.csv"))
 
 
 def test_sweep_artifact(pipeline, capsys):

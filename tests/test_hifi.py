@@ -66,6 +66,18 @@ def test_unstabilized_ns_on_stable_pair_is_allowed():
     assert cfg.stabilization.method == "None"
 
 
+@pytest.mark.parametrize("ranges", [
+    {"mu2_range": (-3.0, -2.0)},      # the stretch a(mu2) would be negative
+    {"mu2_range": (-1.0, 1.0)},       # a(-1) = 0
+    {"mu_bar2": -1.0},                # a's denominator 1 + mu_bar2 = 0
+    {"mu1_range": (-0.5, 0.5)},       # nu = mu1 must be positive
+])
+def test_out_of_domain_parameters_rejected(ranges):
+    with pytest.raises(ValueError):
+        ProblemConfig("stokes", "P1P1",
+                      StabilizationConfig("BrezziPitkaranta", 0.05), **ranges)
+
+
 def test_unknown_names_rejected():
     with pytest.raises(ValueError):
         ProblemConfig("euler", "P1P1", StabilizationConfig())
@@ -135,7 +147,7 @@ def test_global_mass_conservation_plain_pair():
     cfg = ProblemConfig("stokes", "P2P1", StabilizationConfig())
     system = FlowSystem(cfg, 16, 8)
     sol = system.solve((0.33, 2.4))
-    b = system.divergence.evaluate(system.geometry, (0.33, 2.4))
+    b = system.operators["b"].evaluate(system.geometry, (0.33, 2.4))
     flux = np.ones(system.n_pressure) @ (b @ sol.total_velocity.values)
     assert abs(flux) < 1e-10
 
@@ -227,9 +239,9 @@ def test_checkerboard_mode_invisible_to_divergence():
     j = np.rint(verts[:, 1] / (1.0 / 16)).astype(int)
     checker = ((-1.0) ** (i + j)).astype(float)
     for mu in [(0.5, 1.0), (0.6, 2.0)]:
-        b = system.divergence.evaluate(system.geometry, mu)
+        b = system.operators["b"].evaluate(system.geometry, mu)
         assert np.abs((b.T @ checker)[system.free]).max() == 0.0
-    s = system.stab.spq.terms[0][1]
+    s = system.operators["spq"].terms[0][1]
     assert checker @ (s @ checker) == pytest.approx(1.6, rel=1e-12)
 
 
@@ -423,17 +435,10 @@ def test_total_velocity_adds_lifting(stokes_bp):
 
 
 def _named_blocks(system, mu) -> dict:
-    out = {}
-    if system.stab is None:
-        return out
     g = system.geometry
-    if system.stab.suq is not None:
-        out["suq"] = system.stab.suq.evaluate(g, mu)
-    out["spq"] = system.stab.spq.evaluate(g, mu)
-    if system.stab.suv is not None:
-        out["suv"] = system.stab.suv.evaluate(g, mu)
-        out["spv"] = system.stab.spv.evaluate(g, mu)
-    return out
+    return {name: system.operators[name].evaluate(g, mu)
+            for name in ("suq", "spq", "suv", "spv")
+            if name in system.operators}
 
 
 def _named_saddle_matrix(system, mu, a_extra=None, b_extra=None):
@@ -441,8 +446,8 @@ def _named_saddle_matrix(system, mu, a_extra=None, b_extra=None):
     free velocity dofs; a_extra / b_extra are the Newton corrections of
     the momentum and continuity velocity blocks."""
     g = system.geometry
-    a_mu = system.viscous.evaluate(g, mu)
-    b_mu = system.divergence.evaluate(g, mu)
+    a_mu = system.operators["visc"].evaluate(g, mu)
+    b_mu = system.operators["b"].evaluate(g, mu)
     sb = _named_blocks(system, mu)
     if "suv" in sb:
         a_mu = a_mu - sb["suv"]
@@ -472,10 +477,10 @@ def _named_body_vectors(system, force):
     sc = system.config.stabilization
     body = assemble_body_force(system.velocity_space, force)
     stab_body = mom_body = None
-    if system.stab is not None and sc.method != "EdgeJumpP1P0":
+    if sc.active and sc.method != "EdgeJumpP1P0":
         stab_body = assemble_stab_body_force(
             system.pressure_space, force, sc.delta)
-    if system.stab is not None and system.stab.suv is not None:
+    if "suv" in system.operators:
         mom_body = assemble_momentum_stab_body_force(
             system.velocity_space, force, sc.delta, sc.rho)
     return body, stab_body, mom_body
@@ -487,15 +492,15 @@ def _named_rhs(system, force):
     [+ stabilized body force]."""
     lvec = system.lifting.values
     body, stab_body, mom_body = _named_body_vectors(system, force)
-    stab = system.stab
-    fterms = [(tag, -(m @ lvec)) for tag, m in system.viscous.terms]
-    if stab is not None and stab.suv is not None:
-        fterms += [(tag, m @ lvec) for tag, m in stab.suv.terms]
+    ops = system.operators
+    fterms = [(tag, -(m @ lvec)) for tag, m in ops["visc"].terms]
+    if "suv" in ops:
+        fterms += [(tag, m @ lvec) for tag, m in ops["suv"].terms]
         fterms.append(("nu", mom_body))
     fterms.append(("one", body))
-    gterms = [(tag, -(m @ lvec)) for tag, m in system.divergence.terms]
-    if stab is not None and stab.suq is not None:
-        gterms += [(tag, m @ lvec) for tag, m in stab.suq.terms]
+    gterms = [(tag, -(m @ lvec)) for tag, m in ops["b"].terms]
+    if "suq" in ops:
+        gterms += [(tag, m @ lvec) for tag, m in ops["suq"].terms]
     if stab_body is not None:
         gterms.append(("one", stab_body))
     return AffineOperator(fterms), AffineOperator(gterms)
@@ -505,12 +510,12 @@ def _named_residual(system, mu, u_homog, p, lam, force):
     g = system.geometry
     body, stab_body, mom_body = _named_body_vectors(system, force)
     u_t = u_homog + system.lifting.values
-    a_mu = system.viscous.evaluate(g, mu)
-    b_mu = system.divergence.evaluate(g, mu)
+    a_mu = system.operators["visc"].evaluate(g, mu)
+    b_mu = system.operators["b"].evaluate(g, mu)
     sb = _named_blocks(system, mu)
     r_mom = a_mu @ u_t + b_mu.T @ p - body
-    if system.convection is not None:
-        r_mom += system.convection.matrix(u_t).evaluate(g, mu) @ u_t
+    if "conv" in system.quadratic:
+        r_mom += system.quadratic["conv"].matrix(u_t).evaluate(g, mu) @ u_t
     if "suv" in sb:
         r_mom -= sb["suv"] @ u_t
         r_mom -= sb["spv"] @ p
@@ -520,8 +525,8 @@ def _named_residual(system, mu, u_homog, p, lam, force):
         r_cont -= sb["suq"] @ u_t
     if "spq" in sb:
         r_cont -= sb["spq"] @ p
-    if system.stab is not None and system.stab.supg is not None:
-        r_cont -= system.stab.supg.transport(u_t).evaluate(g, mu) @ u_t
+    if "tn" in system.quadratic:
+        r_cont -= system.quadratic["tn"].transport(u_t).evaluate(g, mu) @ u_t
     if stab_body is not None:
         r_cont -= stab_body
     return np.concatenate([r_mom[system.free], r_cont,
@@ -530,12 +535,14 @@ def _named_residual(system, mu, u_homog, p, lam, force):
 
 def _named_jacobian(system, mu, u_t):
     g = system.geometry
-    a_extra = system.convection.matrix(u_t).evaluate(g, mu) \
-        + system.convection.transport_jacobian(u_t).evaluate(g, mu)
+    conv = system.quadratic["conv"]
+    a_extra = conv.matrix(u_t).evaluate(g, mu) \
+        + conv.transport_jacobian(u_t).evaluate(g, mu)
     b_extra = None
-    if system.stab is not None and system.stab.supg is not None:
-        b_extra = system.stab.supg.transport(u_t).evaluate(g, mu) \
-            + system.stab.supg.jacobian(u_t).evaluate(g, mu)
+    if "tn" in system.quadratic:
+        supg = system.quadratic["tn"]
+        b_extra = supg.transport(u_t).evaluate(g, mu) \
+            + supg.jacobian(u_t).evaluate(g, mu)
     return _named_saddle_matrix(system, mu, a_extra, b_extra)
 
 
@@ -543,6 +550,36 @@ def _rel(new, old):
     norm = scipy.sparse.linalg.norm if scipy.sparse.issparse(old) \
         else np.linalg.norm
     return norm(new - old) / norm(old)
+
+
+@pytest.mark.parametrize("problem,pair,method,rho,linear,quadratic", [
+    ("stokes", "P1P1", "None", 0.0, "visc b", ""),
+    ("stokes", "P1P1", "BrezziPitkaranta", 0.0, "visc b spq", ""),
+    ("stokes", "P2P2", "BrezziPitkaranta", 0.0, "visc b spq", ""),
+    ("stokes", "P1P1", "ResidualBased", 0.0, "visc b suq spq", ""),
+    ("stokes", "P2P2", "ResidualBased", 0.0, "visc b suq spq", ""),
+    ("stokes", "P2P2", "ResidualBased", 1.0, "visc b suq spq suv spv", ""),
+    ("stokes", "P2P2", "ResidualBased", -1.0, "visc b suq spq suv spv", ""),
+    ("stokes", "P1P0", "None", 0.0, "visc b", ""),
+    ("stokes", "P1P0", "EdgeJumpP1P0", 0.0, "visc b spq", ""),
+    ("stokes", "P2P1", "None", 0.0, "visc b", ""),
+    ("navier_stokes", "P1P1", "SUPGFamily", 0.0, "visc b suq spq",
+     "conv tn"),
+    ("navier_stokes", "P2P2", "SUPGFamily", 0.0, "visc b suq spq",
+     "conv tn"),
+    ("navier_stokes", "P2P2", "None", 0.0, "visc b", "conv"),
+    ("navier_stokes", "P2P1", "None", 0.0, "visc b", "conv"),
+])
+def test_block_set_of_every_configuration(problem, pair, method, rho,
+                                          linear, quadratic):
+    # the two dicts are the one record of a configuration's terms, the
+    # operators in SADDLE_BLOCKS order
+    delta = 0.0 if method == "None" else 0.05
+    cfg = ProblemConfig(problem, pair,
+                        StabilizationConfig(method, delta, rho=rho))
+    system = FlowSystem(cfg, 4, 2)
+    assert list(system.operators) == linear.split()
+    assert list(system.quadratic) == quadratic.split()
 
 
 @pytest.mark.parametrize("problem,pair,method,delta,rho", [

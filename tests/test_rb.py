@@ -202,7 +202,7 @@ def test_supremizer_satisfies_riesz_identity(stokes_rb):
     op = SupremizerOperator(system)
     rng = np.random.default_rng(3)
     mu = (0.4, 1.9)
-    b_mu = system.divergence.evaluate(system.geometry, mu)
+    b_mu = system.operators["b"].evaluate(system.geometry, mu)
     for _ in range(5):
         q = rng.standard_normal(system.n_pressure)
         s = op.solve(q, mu)
@@ -216,13 +216,16 @@ def test_supremizer_satisfies_riesz_identity(stokes_rb):
 def test_projected_operators_match_direct_projection(stokes_rb):
     system, model, _ = stokes_rb
     zv = model.z_velocity()
-    for (tag, red), (tag2, full) in zip(model.visc, system.viscous.terms):
+    for (tag, red), (tag2, full) in zip(model.visc,
+                                        system.operators["visc"].terms):
         assert tag == tag2
         assert np.abs(red - zv.T @ (full @ zv)).max() < 1e-12
-    for (tag, red), (tag2, full) in zip(model.b, system.divergence.terms):
+    for (tag, red), (tag2, full) in zip(model.b,
+                                        system.operators["b"].terms):
         assert tag == tag2
         assert np.abs(red - model.z_p.T @ (full @ zv)).max() < 1e-12
-    for (tag, red), (tag2, full) in zip(model.spq, system.stab.spq.terms):
+    for (tag, red), (tag2, full) in zip(model.spq,
+                                        system.operators["spq"].terms):
         assert tag == tag2
         assert np.abs(red - model.z_p.T @ (full @ model.z_p)).max() < 1e-12
 
@@ -537,7 +540,7 @@ def _named_quadratic_arrays(system, model):
     SUPG tll = Q^T T(l) l, tln = Q^T T(l) Z, tzln[:, j] = Q^T T(z_j) l,
     tn[:, j, :] = Q^T T(z_j) Z."""
     zv, zp, lvec = model.z_v, model.z_p, system.lifting.values
-    conv = system.convection
+    conv = system.quadratic["conv"]
     cl, dl = conv.matrix(lvec), conv.transport_jacobian(lvec)
     out = {"fconv": AffineOperator([(tag, -(m @ lvec)) for tag, m in cl])
            .project_vector(zv),
@@ -550,7 +553,7 @@ def _named_quadratic_arrays(system, model):
          for e, (tag, _) in enumerate(cl.terms)])
 
     def transport(w):
-        (tag, m), = system.stab.supg.transport(w).terms
+        (tag, m), = system.quadratic["tn"].transport(w).terms
         assert tag == "one"
         return m
     tl = transport(lvec)
@@ -597,8 +600,8 @@ def test_quadratic_tensors_match_projection_oracle(ns_rb):
     # of the assembled matrices Q(w_j), w = [l | Z_v]
     system, model, _ = ns_rb
     w = np.column_stack([system.lifting.values, model.z_v])
-    for name, q, z in (("conv", system.convection.matrix, model.z_v),
-                       ("tn", system.stab.supg.transport, model.z_p)):
+    for name, q, z in (("conv", system.quadratic["conv"].matrix, model.z_v),
+                       ("tn", system.quadratic["tn"].transport, model.z_p)):
         got = getattr(model, name)
         want = _tensor_oracle(q, z, w)
         assert [tag for tag, _ in got] == [tag for tag, _ in want], name
@@ -858,7 +861,7 @@ def test_save_load_round_trip(tmp_path, ns_rb):
     k = lines.index(next(ln for ln in lines if ln.startswith("arrays = ")))
     names = {ln.split()[0].partition(".")[0] for ln in lines[k + 1:]}
     assert "z_v" in names and "conv" in names
-    for gone in ("sup_raw", "lifting_coords", "mean"):
+    for gone in ("sup_raw", "lifting_coords", "mean", "lifting"):
         assert gone not in names
 
 
@@ -877,19 +880,21 @@ def test_loaded_model_solves_identically(tmp_path, stokes_rb):
                                     "format = cavityrb-rbm-2",
                                     "format = cavityrb-rbm-3",
                                     "format = cavityrb-rbm-4",
-                                    "format = cavityrb-rbm-5", None])
+                                    "format = cavityrb-rbm-5",
+                                    "format = cavityrb-rbm-6", None])
 def test_load_model_refuses_other_formats(tmp_path, stokes_rb, header):
     # earlier files hold stabilization terms projected from the
     # reference-domain blocks (rbm-1), the full-order supremizers
     # (rbm-2), the momentum-row stabilization lifting inside the
     # Galerkin fvisc (rbm-3), the quadratic terms as seven arrays on
-    # the velocity basis (rbm-4) or the arrays as 17-digit text (rbm-5);
-    # they must not load as current models
+    # the velocity basis (rbm-4), the arrays as 17-digit text (rbm-5)
+    # or an unread full-order lifting (rbm-6); they must not load as
+    # current models
     _, model, _ = stokes_rb
     path = tmp_path / "model.rbm"
     save_model(model, path)
     lines, blob = _rbm_parts(path)
-    idx = lines.index("format = cavityrb-rbm-6")
+    idx = lines.index("format = cavityrb-rbm-7")
     if header is None:
         del lines[idx]
     else:
@@ -914,7 +919,7 @@ def test_load_model_refuses_incomplete_files(tmp_path, stokes_rb, damage):
     lines, blob = _rbm_parts(path)
     table = lines.index(next(ln for ln in lines if ln.startswith("arrays = ")))
     if damage == "bare":
-        lines, blob = ["format = cavityrb-rbm-6", "arrays = 0"], b""
+        lines, blob = ["format = cavityrb-rbm-7", "arrays = 0"], b""
     elif damage == "no_header_key":
         lines = [ln for ln in lines if not ln.startswith("n_u = ")]
     elif damage == "no_array":
