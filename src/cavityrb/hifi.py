@@ -57,7 +57,10 @@ from .util import NonConvergenceError
 PAIRS = {"P1P1": ("P1", "P1"), "P2P2": ("P2", "P2"),
          "P1P0": ("P1", "P0"), "P2P1": ("P2", "P1")}
 
-PROBLEMS = ("stokes", "navier_stokes")
+# how each problem's mu1 enters the viscosity (``GeometryMap``): Stokes
+# nu = mu1, Navier-Stokes nu = 1/mu1 with mu1 the Reynolds number
+VISCOSITY_MODES = {"stokes": "direct", "navier_stokes": "inverse"}
+PROBLEMS = tuple(VISCOSITY_MODES)
 
 # the stabilization methods each (problem, pair) accepts besides "None":
 # P2P1 is inf-sup stable and P1P0 has its own edge jump
@@ -158,7 +161,7 @@ class ProblemConfig:
 
     @property
     def viscosity_mode(self) -> str:
-        return "direct" if self.problem == "stokes" else "inverse"
+        return VISCOSITY_MODES[self.problem]
 
     def geometry(self) -> GeometryMap:
         return GeometryMap(self.mu_bar2, self.viscosity_mode)

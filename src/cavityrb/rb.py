@@ -6,7 +6,7 @@ velocity space, Gram-Schmidt orthonormalization, and projection of all
 affine operators; a greedy step measures every training point with one
 column-stacked FE residual.
 
-Online: one dense solve under four formulations,
+Online: one reduced solve under four formulations,
     (i)   enriched velocity space, stabilization terms kept,
     (ii)  plain velocity space, stabilization terms kept,
     (iii) enriched velocity space, stabilization dropped online,
@@ -21,9 +21,11 @@ velocity basis [l | Z_v]; its lifting, linear and quadratic parts are
 slices of it.  These are stacked into one affine saddle operator with
 the unknowns ordered [u | p | s], so an option is a leading size of that
 system plus a choice of keeping its stabilization terms; options iii/iv
-drop every one of them, right-hand sides included.  One Newton solve
-serves Stokes and Navier-Stokes.  Truncating to the first greedy
-snapshots is a change of basis in reduced coordinates.
+drop every one of them, right-hand sides included.  Stokes is one dense
+solve; Navier-Stokes Newton starts at the stored reduced coordinates of
+the greedy snapshot nearest to the queried parameter, and from zero
+only if that start fails.  Truncating to the first greedy snapshots is
+a change of basis in reduced coordinates.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import AffineOperator, GeometryMap
-from .hifi import QUADRATIC_TERMS, SADDLE_BLOCKS, FeSolution, FlowSystem
+from .hifi import (QUADRATIC_TERMS, SADDLE_BLOCKS, VISCOSITY_MODES,
+                   FeSolution, FlowSystem)
 from .fespace import FeFunction
 from .linalg import (SparseLU, dense_lu_solve, modified_gram_schmidt,
                      smallest_gsv)
@@ -117,6 +120,7 @@ _AXES = {
     "mus": ("n", None), "indicators": ("n",), "sizes": ("n", None),
     "u_snaps": (None, "n"), "p_snaps": (None, "n"),
     "sup_coords": ("v", "n"),
+    "u_coords": ("v", "n"), "p_coords": ("p", "n"),
 }
 
 
@@ -214,10 +218,13 @@ class ReducedModel:
     ``QUADRATIC_TERMS`` entry (Navier-Stokes).  ``sizes`` holds
     (n_u, n_p) after each greedy step and ``sup_coords`` the raw
     supremizers in the coordinates of ``z_v``, which is all a truncation
-    needs.  The named blocks are the stored form; ``saddle`` is derived
-    from them at construction.  ``option`` selects what the online solve
-    and the inf-sup diagnostics read: ``n_vel`` leading velocity columns
-    and the stabilization terms or not.
+    needs.  ``u_coords`` and ``p_coords`` hold the snapshots in the
+    coordinates of ``z_v`` and ``z_p``, where reduced Newton starts
+    (Navier-Stokes; None for Stokes).  The named blocks are the stored
+    form; ``saddle`` is derived from them at construction.  ``option``
+    selects what the online solve and the inf-sup diagnostics read:
+    ``n_vel`` leading velocity columns and the stabilization terms or
+    not.
     """
 
     problem: str
@@ -255,6 +262,8 @@ class ReducedModel:
     u_snaps: np.ndarray
     p_snaps: np.ndarray
     sup_coords: np.ndarray
+    u_coords: np.ndarray | None
+    p_coords: np.ndarray | None
     saddle: SaddleOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -293,8 +302,7 @@ class ReducedModel:
         return option_keeps_stabilization(self.option) and self.spq is not None
 
     def geometry(self) -> GeometryMap:
-        return GeometryMap(self.mu_bar2,
-                           "direct" if self.problem == "stokes" else "inverse")
+        return GeometryMap(self.mu_bar2, VISCOSITY_MODES[self.problem])
 
     def z_velocity(self) -> np.ndarray:
         return self.z_v[:, :self.n_vel]
@@ -416,6 +424,9 @@ def build_reduced_model(system: FlowSystem, mus: np.ndarray,
     for name, rows, _, _, _, _ in QUADRATIC_TERMS:
         if name in system.quadratic:
             arrays[name] = system.quadratic[name].tensor(basis[rows], w)
+    if system.quadratic:     # the reduced Newton starts (solve_reduced)
+        arrays.update(u_coords=np.asarray(zv.T @ (xu_full @ u_snaps)),
+                      p_coords=np.asarray(z_p.T @ (xp_full @ p_snaps)))
 
     arrays.update(
         z_v=zv, z_p=z_p,
@@ -485,43 +496,76 @@ def truncate_model(model: ReducedModel, n: int) -> ReducedModel:
 # online solves
 
 
+def _anchor(model: ReducedModel, mu, size: int) -> np.ndarray:
+    """The greedy snapshot nearest to mu, in the parameter box scaled to
+    the unit square, as the leading ``size`` reduced unknowns."""
+    box = np.array([model.mu1_range, model.mu2_range])
+    dist = (((model.mus - np.asarray(mu)) / (box[:, 1] - box[:, 0])) ** 2
+            ).sum(axis=1)
+    j = int(np.argmin(dist))
+    n_u = model.n_u
+    return np.concatenate([model.u_coords[:n_u, j], model.p_coords[:, j],
+                           model.u_coords[n_u:, j]])[:size]
+
+
+def _newton(k, f, n, x: np.ndarray, rconds: list, context: str):
+    """Newton on r(x) = K x + N(x, x) - F from x; (x, residual history).
+
+    It stops after at least one step, once ||r|| <= RB_NEWTON_TOL ||F||
+    (||r(0)||), and raises NonConvergenceError after RB_NEWTON_MAX_ITER
+    steps.  Each step appends its rcond to ``rconds``.
+    """
+    ref = float(np.linalg.norm(f))
+    nx = n @ x
+    rhs = f - (k + nx) @ x
+    history = [float(np.linalg.norm(rhs))]
+    while True:
+        dx, rcond = dense_lu_solve(k + 2.0 * nx, rhs, context)
+        x = x + dx
+        rconds.append(rcond)
+        nx = n @ x
+        rhs = f - (k + nx) @ x
+        history.append(float(np.linalg.norm(rhs)))
+        if history[-1] <= RB_NEWTON_TOL * ref:
+            return x, history
+        if len(history) > RB_NEWTON_MAX_ITER:
+            raise NonConvergenceError(
+                f"reduced Newton stalled under {context} (residual "
+                f"{history[-1]:.3e})", history)
+
+
 def solve_reduced(model: ReducedModel, mu):
     """The online solve of every problem and option; (U_N, P_N, info).
 
-    Newton on r(x) = K x + N(x, x) - F from x = 0; the first step is the
-    Stokes solve, and without N (Stokes) it is the only one.  Every step
-    goes through ``dense_lu_solve``, so a system with rcond at or below
-    ``linalg.RCOND_TOL`` raises SingularSystemError.  ``info`` holds the
-    number of factored steps, the smallest rcond among them and, for
-    Navier-Stokes, the residual history.
+    Stokes takes the one step x = K^-1 F.  Navier-Stokes runs Newton on
+    r(x) = K x + N(x, x) - F from the stored coordinates of the greedy
+    snapshot nearest to mu (``_anchor``), to ||r|| <= RB_NEWTON_TOL
+    ||F||; if that run stalls or meets a singular Jacobian, it starts
+    once more from x = 0, whose first step is the Stokes solve.  Every
+    step goes through ``dense_lu_solve``, so a system with rcond at or
+    below ``linalg.RCOND_TOL`` raises SingularSystemError.  ``info``
+    holds the number of factored steps over both starts, refused ones
+    included, the smallest rcond among those taken and, for
+    Navier-Stokes, the residual history of the start that converged.
     """
     size = model.n_vel + model.n_p
     k, f, n = model.saddle.evaluate(model.geometry(), mu, size,
                                     model.stab_online)
     context = f"option {model.option} at mu={tuple(mu)}"
-    x = np.zeros(size)
-    jac, rhs = k, f              # -r and its Jacobian at x = 0
-    history = [] if n is None else [float(np.linalg.norm(f))]
-    rconds = []
-    while True:
-        dx, rcond = dense_lu_solve(jac, rhs, context)
-        x += dx
-        rconds.append(rcond)
-        if n is None:
-            break
-        nx = n @ x
-        rhs = f - (k + nx) @ x
-        history.append(float(np.linalg.norm(rhs)))
-        if history[-1] <= RB_NEWTON_TOL * history[0]:
-            break
-        if len(rconds) >= RB_NEWTON_MAX_ITER:
-            raise NonConvergenceError(
-                f"reduced Newton stalled at mu={tuple(mu)} under option "
-                f"{model.option} (residual {history[-1]:.3e})", history)
-        jac = k + 2.0 * nx
-    info = {"iterations": len(rconds), "rcond": min(rconds)}
-    if n is not None:
-        info["residuals"] = history
+    if n is None:
+        x, rcond = dense_lu_solve(k, f, context)
+        info = {"iterations": 1, "rcond": rcond}
+    else:
+        rconds: list[float] = []
+        try:
+            x, history = _newton(k, f, n, _anchor(model, mu, size), rconds,
+                                 context)
+            refused = 0
+        except (SingularSystemError, NonConvergenceError) as err:
+            refused = int(isinstance(err, SingularSystemError))
+            x, history = _newton(k, f, n, np.zeros(size), rconds, context)
+        info = {"iterations": len(rconds) + refused, "rcond": min(rconds),
+                "residuals": history}
     n_u, n_p = model.n_u, model.n_p
     return (np.concatenate([x[:n_u], x[n_u + n_p:]]), x[n_u:n_u + n_p],
             info)
@@ -716,7 +760,7 @@ def modified_infsup(model: ReducedModel, mu) -> float:
 # serialization
 
 
-_RBM_FORMAT = "cavityrb-rbm-7"
+_RBM_FORMAT = "cavityrb-rbm-8"
 
 # header fields: every ReducedModel field that is not an array
 _HEADER = tuple(f for f in dataclasses.fields(ReducedModel)
@@ -724,6 +768,8 @@ _HEADER = tuple(f for f in dataclasses.fields(ReducedModel)
 # arrays every model has; the others are None for some configurations
 _REQUIRED = tuple(f.name for f in dataclasses.fields(ReducedModel)
                   if f.name in _AXES and "None" not in f.type)
+# arrays every Navier-Stokes model has: the reduced Newton starts
+_REQUIRED_WITH_CONV = ("u_coords", "p_coords")
 _PARSE = {"str": str, "float": float, "int": int,
           "tuple": lambda text: tuple(float(x) for x in text.split())}
 _ALIGN = 64     # the blob starts on a multiple of this many bytes
@@ -790,8 +836,10 @@ def load_model(path):
             # operators (rbm-1: reference-domain blocks), the full-order
             # supremizers (rbm-2), Suv l inside the Galerkin fvisc (rbm-3),
             # the quadratic terms as seven arrays on Z_v alone (rbm-4),
-            # this format's arrays as 17-digit text lines (rbm-5), or an
-            # unread copy of the full-order lifting (rbm-6)
+            # this format's arrays as 17-digit text lines (rbm-5), an
+            # unread copy of the full-order lifting (rbm-6), or, for
+            # Navier-Stokes, no snapshot coordinates to start Newton
+            # from (rbm-7)
             raise ValueError(f"unsupported model format "
                              f"{header.get('format')!r}; expected {_RBM_FORMAT}")
         table = [line().split() for _ in range(int(header["arrays"]))]
@@ -820,8 +868,9 @@ def load_model(path):
         raise ValueError(f"model file has {len(blob) - end} bytes after "
                          f"its last array")
     present = {key.partition(".")[0] for key in arrays}
+    required = _REQUIRED + (_REQUIRED_WITH_CONV if "conv" in present else ())
     missing = [f.name for f in _HEADER if f.name not in header] \
-        + [name for name in _REQUIRED if name not in present]
+        + [name for name in required if name not in present]
     if missing:
         raise ValueError(f"model file lacks {', '.join(missing)}")
 

@@ -191,7 +191,7 @@ def test_old_format_model_exits_2(tmp_path, capsys):
     path = write_config(tmp_path)
     model = tmp_path / "model.rbm"
     for old in ("cavityrb-rbm-1", "cavityrb-rbm-4", "cavityrb-rbm-5",
-                "cavityrb-rbm-6"):
+                "cavityrb-rbm-6", "cavityrb-rbm-7"):
         model.write_text(f"format = {old}\narrays = 0\n")
         code = main(["online", "--config", path, "--model", str(model)])
         assert code == 2
@@ -202,7 +202,7 @@ def test_incomplete_model_exits_2(tmp_path, capsys):
     # the current format line, but no header keys and no arrays
     path = write_config(tmp_path)
     model = tmp_path / "model.rbm"
-    model.write_text("format = cavityrb-rbm-7\narrays = 0\n")
+    model.write_text("format = cavityrb-rbm-8\narrays = 0\n")
     code = main(["online", "--config", path, "--model", str(model)])
     assert code == 2
     err = capsys.readouterr().err

@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from cavityrb import rb
 from cavityrb.assembly import AffineOperator, StabilizationConfig
 from cavityrb.cli import main
-from cavityrb.hifi import (NEWTON_MAX_ITER, NEWTON_TOL, QUADRATIC_TERMS,
-                           SADDLE_BLOCKS, FeSolution, FlowSystem,
-                           ProblemConfig)
+from cavityrb.hifi import (NEWTON_MAX_ITER, NEWTON_TOL, PROBLEMS,
+                           QUADRATIC_TERMS, SADDLE_BLOCKS, FeSolution,
+                           FlowSystem, ProblemConfig)
 from cavityrb.linalg import RCOND_TOL
-from cavityrb.rb import (_AXES, _LIFTING_RHS, OPTIONS, GreedyTrace,
-                         ReducedModel, SupremizerOperator, _map_axes,
+from cavityrb.rb import (_AXES, _LIFTING_RHS, OPTIONS, RB_NEWTON_TOL,
+                         GreedyTrace, ReducedModel, SupremizerOperator,
+                         _anchor, _map_axes,
                          build_reduced_model, fe_indicator, greedy_offline,
                          held_out_parameters, load_model, modified_infsup,
                          plain_infsup, reconstruct, save_model,
@@ -372,6 +374,8 @@ def test_truncate_is_prefix_consistent(stokes_rb):
     assert np.array_equal(small.z_u, model.z_u[:, :2])
     assert np.array_equal(small.mus, model.mus[:2])
     assert truncate_model(with_option(model, "ii"), 2).option == "ii"
+    # Stokes takes one step from zero: no Newton starts are stored
+    assert model.u_coords is None and model.p_coords is None
     with pytest.raises(ValueError):
         truncate_model(model, 0)
     with pytest.raises(ValueError):
@@ -396,6 +400,7 @@ def test_truncation_matches_prefix_rebuild(stokes_rb, ns_rb, case):
         ref = _prefix_rebuild(system, model, n)
         assert (small.n_u, small.n_s, small.n_p) == \
             (ref.n_u, ref.n_s, ref.n_p)
+        assert (small.u_coords is None) == (case != "navier_stokes")
         for name in _AXES:
             x, y = getattr(small, name), getattr(ref, name)
             assert (x is None) == (y is None), name
@@ -815,6 +820,99 @@ def test_ns_option_ii_still_accurate_at_training(ns_rb):
     assert rel <= 1e-2
 
 
+def _zero_start_newton(view, mu):
+    """(u, p, steps) of reduced Newton from x = 0, whose first step is
+    the Stokes solve, to the tolerance of ``solve_reduced``."""
+    size = view.n_vel + view.n_p
+    k, f, n = view.saddle.evaluate(view.geometry(), mu, size,
+                                   view.stab_online)
+    x, steps = np.zeros(size), 0
+    while True:
+        nx = n @ x
+        r = f - (k + nx) @ x
+        if steps and np.linalg.norm(r) <= RB_NEWTON_TOL * np.linalg.norm(f):
+            n_u, n_p = view.n_u, view.n_p
+            return (np.concatenate([x[:n_u], x[n_u + n_p:]]),
+                    x[n_u:n_u + n_p], steps)
+        x = x + np.linalg.solve(k + 2.0 * nx, r)
+        steps += 1
+        assert steps <= 50, f"zero-start Newton stalled at {mu}"
+
+
+def _assert_same_solution(got, want):
+    # both stop at RB_NEWTON_TOL, from different starts
+    for a, b in zip(got[:2], want[:2]):
+        assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
+
+
+def test_snapshot_coordinates_reconstruct_the_snapshots(ns_rb):
+    _, model, _ = ns_rb
+    for coords, z, snaps in ((model.u_coords, model.z_v, model.u_snaps),
+                             (model.p_coords, model.z_p, model.p_snaps)):
+        assert coords.shape == (z.shape[1], len(model.mus))
+        assert np.abs(z @ coords - snaps).max() \
+            <= 1e-10 * np.abs(snaps).max()
+
+
+def test_anchor_is_the_nearest_snapshot_in_the_scaled_box(ns_rb):
+    # mu1 spans 100 and mu2 1.5: unscaled, the query (102, 3) lies
+    # nearest to (103, 1.5); scaled to the box, nearest to (100, 3)
+    _, model, _ = ns_rb
+    assert len(model.mus) == 3
+    forged = dataclasses.replace(
+        model, mus=np.array([[103.0, 1.5], [100.0, 3.0], [200.0, 1.5]]))
+    for opt in OPTIONS:
+        view = with_option(forged, opt)
+        size, n_u = view.n_vel + view.n_p, view.n_u
+        want = np.concatenate([model.u_coords[:n_u, 1], model.p_coords[:, 1],
+                               model.u_coords[n_u:, 1]])[:size]
+        assert np.array_equal(_anchor(view, (102.0, 3.0), size), want)
+
+
+def test_anchored_newton_matches_zero_start_in_fewer_steps(ns_rb):
+    system, model, _ = ns_rb
+    cfg = system.config
+    rng = np.random.default_rng(11)
+    mus = [(rng.uniform(*cfg.mu1_range), rng.uniform(*cfg.mu2_range))
+           for _ in range(20)]
+    for opt in ("i", "ii", "iii"):
+        view = with_option(model, opt)
+        steps, zero_steps = [], []
+        for mu in mus:
+            got = solve_reduced(view, mu)
+            want = _zero_start_newton(view, mu)
+            _assert_same_solution(got, want)
+            steps.append(got[2]["iterations"])
+            zero_steps.append(want[2])
+        assert np.mean(steps) < np.mean(zero_steps), opt
+
+
+def _far_anchors(model, value):
+    return dataclasses.replace(
+        model, u_coords=np.full_like(model.u_coords, value),
+        p_coords=np.full_like(model.p_coords, value))
+
+
+def test_far_anchor_falls_back_to_the_zero_start(ns_rb, monkeypatch):
+    _, model, _ = ns_rb
+    mu = (130.0, 2.2)
+    want = _zero_start_newton(model, mu)
+    # at 1e30 the first Jacobian is refused as singular: one refused step
+    got = solve_reduced(_far_anchors(model, 1e30), mu)
+    _assert_same_solution(got, want)
+    assert got[2]["iterations"] == 1 + want[2]
+    assert len(got[2]["residuals"]) == want[2] + 1
+    assert RCOND_TOL < got[2]["rcond"] <= 1.0
+    # from 1e4 Newton needs more than 8 steps, so with that budget the
+    # anchored run stalls after 8
+    assert want[2] < 8
+    monkeypatch.setattr(rb, "RB_NEWTON_MAX_ITER", 8)
+    got = solve_reduced(_far_anchors(model, 1e4), mu)
+    _assert_same_solution(got, want)
+    assert got[2]["iterations"] == 8 + want[2]
+    assert len(got[2]["residuals"]) == want[2] + 1
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -860,9 +958,22 @@ def test_save_load_round_trip(tmp_path, ns_rb):
     lines, _ = _rbm_parts(path)
     k = lines.index(next(ln for ln in lines if ln.startswith("arrays = ")))
     names = {ln.split()[0].partition(".")[0] for ln in lines[k + 1:]}
-    assert "z_v" in names and "conv" in names
+    assert {"z_v", "conv", "u_coords", "p_coords"} <= names
     for gone in ("sup_raw", "lifting_coords", "mean", "lifting"):
         assert gone not in names
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_model_geometry_follows_the_problem_config(tmp_path, request,
+                                                   problem):
+    _, model, _ = request.getfixturevalue(
+        {"stokes": "stokes_rb", "navier_stokes": "ns_rb"}[problem])
+    assert model.problem == problem
+    want = vars(ProblemConfig(problem).geometry())
+    path = tmp_path / "model.rbm"
+    save_model(model, path)
+    for built in (model, load_model(path)[0]):
+        assert vars(built.geometry()) == want
 
 
 def test_loaded_model_solves_identically(tmp_path, stokes_rb):
@@ -881,20 +992,22 @@ def test_loaded_model_solves_identically(tmp_path, stokes_rb):
                                     "format = cavityrb-rbm-3",
                                     "format = cavityrb-rbm-4",
                                     "format = cavityrb-rbm-5",
-                                    "format = cavityrb-rbm-6", None])
+                                    "format = cavityrb-rbm-6",
+                                    "format = cavityrb-rbm-7", None])
 def test_load_model_refuses_other_formats(tmp_path, stokes_rb, header):
     # earlier files hold stabilization terms projected from the
     # reference-domain blocks (rbm-1), the full-order supremizers
     # (rbm-2), the momentum-row stabilization lifting inside the
     # Galerkin fvisc (rbm-3), the quadratic terms as seven arrays on
-    # the velocity basis (rbm-4), the arrays as 17-digit text (rbm-5)
-    # or an unread full-order lifting (rbm-6); they must not load as
+    # the velocity basis (rbm-4), the arrays as 17-digit text (rbm-5),
+    # an unread full-order lifting (rbm-6) or no snapshot coordinates
+    # for the reduced Newton start (rbm-7); they must not load as
     # current models
     _, model, _ = stokes_rb
     path = tmp_path / "model.rbm"
     save_model(model, path)
     lines, blob = _rbm_parts(path)
-    idx = lines.index("format = cavityrb-rbm-7")
+    idx = lines.index("format = cavityrb-rbm-8")
     if header is None:
         del lines[idx]
     else:
@@ -919,7 +1032,7 @@ def test_load_model_refuses_incomplete_files(tmp_path, stokes_rb, damage):
     lines, blob = _rbm_parts(path)
     table = lines.index(next(ln for ln in lines if ln.startswith("arrays = ")))
     if damage == "bare":
-        lines, blob = ["format = cavityrb-rbm-7", "arrays = 0"], b""
+        lines, blob = ["format = cavityrb-rbm-8", "arrays = 0"], b""
     elif damage == "no_header_key":
         lines = [ln for ln in lines if not ln.startswith("n_u = ")]
     elif damage == "no_array":
@@ -950,6 +1063,15 @@ def test_load_model_refuses_incomplete_files(tmp_path, stokes_rb, damage):
                  for ln in lines]
     _write_rbm(path, lines, blob)
     with pytest.raises(ValueError, match=_DAMAGE[damage]):
+        load_model(path)
+
+
+def test_load_model_refuses_navier_stokes_without_newton_starts(tmp_path,
+                                                                 ns_rb):
+    _, model, _ = ns_rb
+    path = tmp_path / "model.rbm"
+    save_model(dataclasses.replace(model, u_coords=None, p_coords=None), path)
+    with pytest.raises(ValueError, match="lacks u_coords, p_coords"):
         load_model(path)
 
 
