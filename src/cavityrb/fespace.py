@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import LID, WALL, Mesh
-from .util import PointNotFoundError
 
 FAMILIES = ("P0", "P1", "P2")
 N_LOCAL = {"P0": 1, "P1": 3, "P2": 6}
@@ -198,24 +197,6 @@ def zero_function(space: FunctionSpace) -> FeFunction:
     return FeFunction(space, np.zeros(space.dof_count))
 
 
-def interpolate(space: FunctionSpace, fn) -> FeFunction:
-    """Nodal interpolation of a callable.
-
-    ``fn`` maps (x, y) to a scalar for scalar spaces or to a pair for
-    vector spaces.  P0 interpolates at cell centroids.
-    """
-    coords = space.dof_coords
-    if space.components == 1:
-        vals = np.array([fn(x, y) for x, y in coords], dtype=float)
-        return FeFunction(space, vals)
-    vals = np.empty(space.dof_count)
-    for s, (x, y) in enumerate(coords):
-        vx, vy = fn(x, y)
-        vals[2 * s] = vx
-        vals[2 * s + 1] = vy
-    return FeFunction(space, vals)
-
-
 def interpolate_lifting(space: FunctionSpace) -> FeFunction:
     """Unit horizontal lid velocity as a nodal FE field.
 
@@ -234,48 +215,6 @@ def interpolate_lifting(space: FunctionSpace) -> FeFunction:
         if dof % 2 == 0:                       # horizontal component only
             values[dof] = 1.0
     return FeFunction(space, values)
-
-
-def _locate(mesh: Mesh, point: np.ndarray) -> tuple[int, np.ndarray]:
-    """Find a triangle containing the point; returns (index, barycentric)."""
-    v = mesh.vertices[mesh.triangles]
-    d = point[None, None, :] - v[:, 0:1, :]
-    g = mesh.grad_bary
-    lam12 = np.einsum("tid,td->ti", g[:, 1:3, :], d[:, 0, :])
-    lam = np.concatenate([1.0 - lam12.sum(axis=1, keepdims=True), lam12], axis=1)
-    ok = np.flatnonzero((lam >= -1e-12).all(axis=1))
-    if ok.size == 0:
-        raise PointNotFoundError(f"point {tuple(point)} is outside the mesh")
-    k = int(ok[0])
-    return k, lam[k]
-
-
-def eval(f: FeFunction, point) -> np.ndarray | float:
-    """Evaluate an FE function at a physical point inside the domain."""
-    point = np.asarray(point, dtype=float)
-    k, lam = _locate(f.space.mesh, point)
-    vals = shape_values(f.space.family, lam[None, :])[0]
-    dofs = f.space.cell_dofs[k]
-    if f.space.components == 1:
-        return float(f.values[dofs] @ vals)
-    out = np.array([f.values[2 * dofs] @ vals, f.values[2 * dofs + 1] @ vals])
-    return out
-
-
-def eval_gradient(f: FeFunction, point) -> np.ndarray:
-    """Evaluate the physical gradient at a point.
-
-    Scalar spaces return shape (2,), vector spaces (2, 2) with rows the
-    component gradients.
-    """
-    point = np.asarray(point, dtype=float)
-    k, lam = _locate(f.space.mesh, point)
-    dlam = shape_dlam(f.space.family, lam[None, :])[0]      # (nloc, 3)
-    grads = dlam @ f.space.mesh.grad_bary[k]                # (nloc, 2)
-    dofs = f.space.cell_dofs[k]
-    if f.space.components == 1:
-        return f.values[dofs] @ grads
-    return np.stack([f.values[2 * dofs] @ grads, f.values[2 * dofs + 1] @ grads])
 
 
 def vertex_point_fields(f: FeFunction) -> dict[str, np.ndarray]:

@@ -14,20 +14,32 @@ loop at the zero homogeneous state, and the Stokes matrix and the Newton
 Jacobian are bordered matrices built from them.  The reduced model
 projects the same tables (``rb``).
 
+A system keeps one sparse LU factor, built at its first solve and
+never replaced: the Stokes matrix at the box center, or for
+Navier-Stokes the Newton Jacobian at the center's solution
+(``FlowSystem.center_factor``).  Every full-order solve runs GMRES
+preconditioned by it and is judged by its true residual; a solve (or a
+Newton step) that misses factors its own matrix, uses that factor once
+and frees it (``FlowSystem._solve_linear``).  Truths therefore differ
+from direct solves at round-off, about 1e-12 relative, and do not
+depend on which solves the system ran before.
+
 Navier-Stokes is solved by an inexact Newton iteration on the total
-velocity field; the Jacobian differentiates the convective term and the
-streamline-derivative stabilization.  The first step factors it; later
-steps run GMRES preconditioned by the last factor, with the Jacobian
-applied matrix-free through the quadratic kernels' ``action``, to an
-Eisenstat-Walker forcing tolerance, and factor afresh only when GMRES
-misses it.  A factored Jacobian is the only place that assembles the
-matrices of the quadratic terms.
+velocity field, cold from the zero homogeneous state; the Jacobian
+differentiates the convective term and the streamline-derivative
+stabilization.  Its steps apply the Jacobian matrix-free through the
+quadratic kernels' ``action`` and stop GMRES at an Eisenstat-Walker
+forcing tolerance.  A factored Jacobian (the center factor's, or a
+missed step's) is the only place that assembles the matrices of the
+quadratic terms.
 """
 
 from __future__ import annotations
 
+import copy
+import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -74,11 +86,15 @@ PAIR_METHODS = {
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
-CONTINUATION_STEPS = 4   # Reynolds steps of the continuation fallback
-# Newton steps after the first run GMRES preconditioned by the last
-# factored Jacobian: one restart cycle of KRYLOV_RESTART iterations, to
-# the relative tolerance min(KRYLOV_FORCING, ||r_k|| / ref)
-KRYLOV_RESTART = 15
+# Every full-order linear solve runs GMRES preconditioned by the center
+# factor, in at most KRYLOV_CYCLES restart cycles of KRYLOV_RESTART
+# iterations.  A Stokes solve asks for the relative residual STOKES_RTOL
+# and accepts up to STOKES_ACCEPT; a Newton step asks for and accepts
+# the forcing term min(KRYLOV_FORCING, ||r_k|| / ref).
+KRYLOV_RESTART = 30
+KRYLOV_CYCLES = 2
+STOKES_RTOL = 1e-12
+STOKES_ACCEPT = 1e-11
 KRYLOV_FORCING = 0.1
 
 
@@ -166,15 +182,24 @@ class ProblemConfig:
     def geometry(self) -> GeometryMap:
         return GeometryMap(self.mu_bar2, self.viscosity_mode)
 
+    def center(self) -> tuple[float, float]:
+        """The center of the parameter box."""
+        return (0.5 * (self.mu1_range[0] + self.mu1_range[1]),
+                0.5 * (self.mu2_range[0] + self.mu2_range[1]))
+
 
 @dataclass
 class FeSolution:
     """Velocity (homogeneous part), pressure, and the lifting field.
 
-    ``diagnostics["rcond"]`` is the estimated reciprocal condition
-    number of the saddle matrix (Stokes) or the smallest over the Newton
-    Jacobians factored (None when Newton took no step).  Newton also
-    counts its ``factorizations`` and ``krylov_iterations``.
+    Every solve's ``diagnostics`` count its own ``factorizations`` (made
+    when GMRES missed, and every step of the center factor's own Newton
+    run; the center factor is not one of them) and its
+    ``krylov_iterations``.  ``diagnostics["rcond"]`` is the estimated
+    reciprocal condition number of the factor named by
+    ``diagnostics["rcond_factor"]``: "own", the smallest over the solve's
+    own factors, when it made any; else "center", the center factor
+    that preconditioned it; None for both when Newton took no step.
     """
 
     velocity: FeFunction
@@ -250,6 +275,9 @@ class FlowSystem:
         self.free = self.velocity_space.free_dofs()
         self.n_free = self.free.size
         self.n_pressure = self.pressure_space.dof_count
+        self._center: SparseLU | None = None    # see ``center_factor``
+        self._center_solution: FeSolution | None = None
+        self._center_lock = threading.Lock()
 
     # -- the saddle table ---------------------------------------------
 
@@ -430,52 +458,140 @@ class FlowSystem:
 
     # -- solvers ------------------------------------------------------
 
+    def center_factor(self) -> SparseLU:
+        """The system's one kept factor, built at the first call.
+
+        Stokes factors the saddle matrix at the box center; Navier-Stokes
+        the Newton Jacobian at the center's solution, found by a Newton
+        run from the zero homogeneous state whose every step factors its
+        own Jacobian and frees it; that run is kept as the cold solve at
+        the center (``solve_navier_stokes``).  The factor is a function of
+        the configuration alone, so no solve depends on the solves before
+        it; nothing replaces or frees it while the system lives.  It is
+        built under a lock: concurrent first solves wait for one factor,
+        and ``SparseLU.solve`` on it is then safe from any thread.
+        """
+        with self._center_lock:
+            if self._center is None:
+                mu = self.config.center()
+                if self.config.problem == "navier_stokes":
+                    sol = self._center_solution = self._newton(
+                        mu, np.zeros(self.velocity_space.dof_count),
+                        np.zeros(self.n_pressure), None)
+                    k = self._saddle_matrix(mu, sol.total_velocity.values)
+                else:
+                    k = self._saddle_matrix(mu)
+                self._center = SparseLU(
+                    k, context=f"center factor at mu={tuple(mu)}")
+        return self._center
+
+    @staticmethod
+    def _solve_linear(op, rhs, rtol, accept, matrix,
+                      precond: SparseLU | None, krylov: list, rconds: list,
+                      context: str):
+        """x with ||op x - rhs|| <= accept ||rhs||, op a matrix or an
+        operator: GMRES preconditioned by ``precond``, to the relative
+        tolerance rtol, judged by its true residual whatever GMRES
+        reports (its flag reads the same residual against rtol).  On a
+        miss, or with no ``precond``, it factors ``matrix()`` for this
+        solve alone and frees the factor on return.  ``krylov`` gets an
+        entry per GMRES iteration, ``rconds`` the rcond of each factor.
+        """
+        if precond is not None:
+            x, info = scipy.sparse.linalg.gmres(
+                op, rhs, rtol=rtol, atol=0.0, restart=KRYLOV_RESTART,
+                maxiter=KRYLOV_CYCLES, callback=krylov.append,
+                callback_type="pr_norm",
+                M=scipy.sparse.linalg.LinearOperator(
+                    op.shape, dtype=float, matvec=precond.solve))
+            if info == 0 or (np.linalg.norm(op @ x - rhs)
+                             <= accept * np.linalg.norm(rhs)):
+                return x
+        lu = SparseLU(matrix(), context=context)
+        rconds.append(lu.rcond)
+        return lu.solve(rhs)
+
+    @staticmethod
+    def _factor_diagnostics(center, krylov: list, rconds: list) -> dict:
+        """The solve's counts, and which factor ``rcond`` describes."""
+        rcond, source = (
+            (min(rconds), "own") if rconds else
+            (center.rcond, "center") if center is not None else (None, None))
+        return {"rcond": rcond, "rcond_factor": source,
+                "factorizations": len(rconds),
+                "krylov_iterations": len(krylov)}
+
     def solve_stokes(self, mu) -> FeSolution:
         """Linear saddle solve (the Stokes operator under config's nu rule).
 
         The right-hand side is minus the linear residual of the zero
-        homogeneous state.
+        homogeneous state.  GMRES preconditioned by the center factor
+        asks for STOKES_RTOL and accepts a true relative residual up to
+        STOKES_ACCEPT; a miss factors K(mu) for this solve alone
+        (``_solve_linear``).
         """
         k = self._saddle_matrix(mu)
         r0 = self._linear_residual([mu], {"v": self.lifting.values[:, None]})
         rhs = np.concatenate([-r0["v"][self.free, 0], -r0["p"][:, 0], [0.0]])
-        lu = SparseLU(k, context=f"stokes solve at mu={tuple(mu)}")
-        x = lu.solve(rhs)
+        center = self.center_factor()
+        krylov, rconds = [], []
+        x = self._solve_linear(k, rhs, STOKES_RTOL, STOKES_ACCEPT, lambda: k,
+                               center, krylov, rconds,
+                               f"stokes solve at mu={tuple(mu)}")
         u_full, p, lam = self._split(x)
         res = float(np.linalg.norm(k @ x - rhs))
         scale = float(np.linalg.norm(rhs))
         diag = {"type": "stokes", "iterations": 1, "lambda": lam,
                 "residual": res / scale if scale > 0 else res,
-                "n_dof": k.shape[0], "rcond": lu.rcond}
+                "n_dof": k.shape[0],
+                **self._factor_diagnostics(center, krylov, rconds)}
         return self._pack_solution(mu, u_full, p, diag)
 
     def solve_navier_stokes(self, mu, initial_guess: FeSolution | None = None
                             ) -> FeSolution:
-        """Inexact Newton on the stabilized nonlinear system.
+        """Inexact Newton on the stabilized nonlinear system, from
+        ``initial_guess`` or, cold, from the zero homogeneous state; the
+        cold solve at the box center is a copy of the center factor's own
+        run.
 
-        The linear saddle matrix at mu is evaluated once per solve.  The
-        first step factors the Jacobian and solves directly.  Every later
-        step solves J_k d = -r_k by GMRES, with J_k applied matrix-free
-        (``jacobian_action``) and the last factor as left preconditioner,
-        to the relative tolerance min(KRYLOV_FORCING, ||r_k|| / ref): the
-        forcing term shrinks with the residual, which keeps the quadratic
-        tail.  A step whose GMRES misses it within one restart cycle
-        factors J_k and keeps that factor from then on.  ``diagnostics``
-        counts the ``factorizations`` and the ``krylov_iterations``.
+        Every step solves J_k d = -r_k by GMRES preconditioned by the
+        center factor, with J_k applied matrix-free
+        (``jacobian_action``), to the Eisenstat-Walker forcing
+        min(KRYLOV_FORCING, ||r_k|| / ref): the forcing term shrinks with
+        the residual, which keeps the quadratic tail.  A step whose true
+        residual misses it factors J_k for that step alone
+        (``_solve_linear``).
         """
         if self.config.problem != "navier_stokes":
             raise ValueError("configured problem is not Navier-Stokes")
+        if initial_guess is None and tuple(mu) == self.config.center():
+            self.center_factor()
+            sol = self._center_solution
+            return self._pack_solution(
+                mu, sol.velocity.values.copy(), sol.pressure.values.copy(),
+                copy.deepcopy(sol.diagnostics))
         if initial_guess is None:
-            initial_guess = self.solve_stokes(mu)
-        u_full = initial_guess.velocity.values.copy()
-        p = initial_guess.pressure.values.copy()
+            u_full = np.zeros(self.velocity_space.dof_count)
+            p = np.zeros(self.n_pressure)
+        else:
+            u_full = initial_guess.velocity.values.copy()
+            p = initial_guess.pressure.values.copy()
+        return self._newton(mu, u_full, p, self.center_factor)
+
+    def _newton(self, mu, u_full: np.ndarray, p: np.ndarray,
+                center: Callable[[], SparseLU] | None) -> FeSolution:
+        """Newton from (u_full, p), updated in place.  Its steps are
+        preconditioned by ``center()``, asked for at the first step; with
+        no ``center``, as in the center factor's own run, every step
+        factors its Jacobian.  The linear saddle matrix at mu is
+        evaluated once per solve."""
         lam = 0.0
         ref = self.residual_reference(mu)
         k_lin = self._saddle_matrix(mu)
         history = []
         rconds = []
         krylov = []
-        lu = None
+        kept = None
         iterations = 0
         while True:
             r = self.residual(mu, u_full, p, lam)
@@ -488,20 +604,18 @@ class FlowSystem:
                     f"Newton stalled after {iterations} iterations at "
                     f"mu={tuple(mu)} (residual {rn:.3e}, target "
                     f"{NEWTON_TOL * ref:.3e})", history)
+            if kept is None and center is not None:
+                kept = center()
             u_t = u_full + self.lifting.values
-            delta = None
-            if lu is not None:
-                forcing = min(KRYLOV_FORCING, rn / ref) if ref > 0 \
-                    else KRYLOV_FORCING
-                delta = self._krylov_step(mu, u_t, k_lin, lu, -r, forcing,
-                                          krylov.append)
-            if delta is None:
-                lu = None   # no factor stays alive while the next one is built
-                lu = SparseLU(self._saddle_matrix(mu, u_t, k_lin),
-                              context=f"newton step {iterations} at "
-                                      f"mu={tuple(mu)}")
-                rconds.append(lu.rcond)
-                delta = lu.solve(-r)
+            jac = scipy.sparse.linalg.LinearOperator(
+                k_lin.shape, dtype=float,
+                matvec=lambda x: self.jacobian_action(mu, u_t, x, k_lin))
+            forcing = min(KRYLOV_FORCING, rn / ref) if ref > 0 \
+                else KRYLOV_FORCING
+            delta = self._solve_linear(
+                jac, -r, forcing, forcing,
+                lambda: self._saddle_matrix(mu, u_t, k_lin), kept, krylov,
+                rconds, f"newton step {iterations} at mu={tuple(mu)}")
             du, dp, dl = self._split(delta)
             u_full += du
             p += dp
@@ -510,43 +624,13 @@ class FlowSystem:
         diag = {"type": "newton", "iterations": iterations,
                 "residuals": history, "lambda": lam,
                 "residual": history[-1] / ref if ref > 0 else history[-1],
-                "rcond": min(rconds, default=None),
-                "factorizations": len(rconds),
-                "krylov_iterations": len(krylov)}
+                **self._factor_diagnostics(kept, krylov, rconds)}
         return self._pack_solution(mu, u_full, p, diag)
 
-    def _krylov_step(self, mu, u_total, linear, lu: SparseLU, rhs, rtol,
-                     callback):
-        """One restart cycle of GMRES for J d = rhs, J the Newton
-        Jacobian at u_total applied matrix-free, left-preconditioned by
-        ``lu``; ``callback`` sees each iteration.  None when the cycle
-        misses the relative tolerance rtol."""
-        jac = scipy.sparse.linalg.LinearOperator(
-            linear.shape, dtype=float,
-            matvec=lambda x: self.jacobian_action(mu, u_total, x, linear))
-        precond = scipy.sparse.linalg.LinearOperator(
-            linear.shape, dtype=float, matvec=lu.solve)
-        delta, info = scipy.sparse.linalg.gmres(
-            jac, rhs, rtol=rtol, atol=0.0, restart=KRYLOV_RESTART,
-            maxiter=1, M=precond, callback=callback, callback_type="pr_norm")
-        return delta if info == 0 else None
-
-    def solve_navier_stokes_continued(self, mu) -> FeSolution:
-        """Newton with geometric Reynolds continuation as a fallback."""
-        try:
-            return self.solve_navier_stokes(mu)
-        except NonConvergenceError:
-            guess = None
-            mu1, mu2 = mu[0], mu[1]
-            for k in range(1, CONTINUATION_STEPS + 1):
-                mu1_k = mu1 ** (k / CONTINUATION_STEPS)
-                guess = self.solve_navier_stokes((mu1_k, mu2),
-                                                 initial_guess=guess)
-            return guess
-
-    def solve(self, mu, **kwargs) -> FeSolution:
+    def solve(self, mu, initial_guess: FeSolution | None = None
+              ) -> FeSolution:
+        """The configured problem's solve; ``initial_guess`` starts a
+        Navier-Stokes Newton run (Stokes has no use for it)."""
         if self.config.problem == "navier_stokes":
-            if kwargs:
-                return self.solve_navier_stokes(mu, **kwargs)
-            return self.solve_navier_stokes_continued(mu)
+            return self.solve_navier_stokes(mu, initial_guess)
         return self.solve_stokes(mu)

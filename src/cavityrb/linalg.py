@@ -22,7 +22,12 @@ number, rcond = 1 / (||A||_1 est||A^-1||_1) (Hager 1984, Higham 1988),
 not from the spread of U's diagonal, which depends on the pivoting.  The
 well-posed systems of this package have rcond of order 1e-5 on the
 32x16 mesh (P2P2 ResidualBased, delta = 0.05); a system at or below
-RCOND_TOL leaves no correct digit to a solve and is refused.
+RCOND_TOL leaves no correct digit to a solve and is refused.  The
+estimate is made once per factor, when it is built.  A full-order solve
+of ``hifi`` therefore reports the rcond of the system's center factor,
+which preconditioned it, or of the factors it made of its own matrix
+when GMRES missed; a singularity the center factor shares (one that
+does not depend on mu) is refused at the first solve.
 
 Dense (reduced) systems go through LAPACK getrf, gecon and getrs in
 ``dense_lu_solve``: gecon computes the same 1-norm estimate on the dense
@@ -30,6 +35,8 @@ factor, and the same floor refuses them.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 import scipy.linalg
@@ -74,12 +81,26 @@ class CsrPattern:
                                        shape=self.shape)
 
 
+try:    # glibc's malloc_trim; a no-op where the C library has none
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+except (AttributeError, OSError, TypeError):
+    def _malloc_trim(pad):
+        return 0
+
+
 class SparseLU:
     """LU factorization of a sparse square matrix with a conditioning check.
 
     Raises SingularSystemError when the factorization fails outright or
     when the estimated reciprocal 1-norm condition number ``rcond``
     falls to RCOND_TOL or below; ``rcond`` is kept for diagnostics.
+
+    A factor's L and U are tens of megabytes of malloc'd blocks.  glibc
+    keeps freed blocks in its heap, where a factor that lives on (a
+    system's center factor) pins them, so a dropped factor hands the
+    heap's free pages back to the operating system at once
+    (``malloc_trim``).
     """
 
     def __init__(self, matrix: scipy.sparse.spmatrix, context: str = ""):
@@ -94,6 +115,10 @@ class SparseLU:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(rhs)
+
+    def __del__(self):
+        self.__dict__.pop("_lu", None)
+        _malloc_trim(0)
 
 
 def _refuse_singular(rcond: float, context: str) -> None:

@@ -598,10 +598,13 @@ def fe_indicator(system: FlowSystem, model: ReducedModel, mu) -> float:
 def _snapshot(system: FlowSystem, model: ReducedModel | None, mu) -> FeSolution:
     """The greedy's FE snapshot at mu.
 
-    Navier-Stokes Newton starts from the current model's reconstructed
-    solution at mu, which lies close to the truth at the point the
-    indicator picked; where the reduced or the warm Newton solve fails,
-    the cold continued solve takes over.  Stokes needs no guess.
+    The first snapshot, at the box center, builds the system's center
+    factor, which preconditions every later solve; for Navier-Stokes it
+    is the center factor's own Newton run.  Later Navier-Stokes snapshots
+    start Newton from the current model's reconstructed solution at mu,
+    which lies close to the truth at the point the indicator picked;
+    where the reduced or the warm Newton solve fails, the cold solve
+    from the zero homogeneous state takes over.  Stokes needs no guess.
     """
     if model is None or system.config.problem != "navier_stokes":
         return system.solve(mu)
@@ -669,14 +672,17 @@ def greedy_offline(system: FlowSystem, n_max: int, train_size: int,
     mus: list[tuple] = []
     indicators: list[float] = []
     rows = []
-    sup_op = SupremizerOperator(system)
-    next_mu = (0.5 * (cfg.mu1_range[0] + cfg.mu1_range[1]),
-               0.5 * (cfg.mu2_range[0] + cfg.mu2_range[1]))
+    sup_op = None
+    next_mu = cfg.center()
     next_ind = 1.0
     model = None
     certified = ("i", "ii") if cfg.stabilization.active else ("i",)
     for n in range(1, n_max + 1):
         snap = _snapshot(system, model, next_mu)
+        if sup_op is None:
+            # after the center factor the first snapshot built: the
+            # Gram factor allocated second leaves a lower heap peak
+            sup_op = SupremizerOperator(system)
         u = snap.velocity.values
         p = snap.pressure.values
         u_snaps = np.column_stack([u_snaps, u])

@@ -10,14 +10,14 @@ from cavityrb.analysis import (INFSUP_HEADER, SWEEP_HEADER, ErrorReport,
                                convergence_study, error_sweep, gram_seminorm,
                                infsup_profile, manufactured_body_force,
                                manufactured_errors, manufactured_pressure,
-                               manufactured_velocity,
                                manufactured_velocity_gradient, parameter_grid,
                                relative_errors)
 from cavityrb.assembly import StabilizationConfig
-from cavityrb.fespace import FeFunction, interpolate, make_space, zero_function
+from cavityrb.fespace import FeFunction, make_space, zero_function
 from cavityrb.hifi import FeSolution, FlowSystem, ProblemConfig
 from cavityrb.mesh import build_rect_mesh
 from cavityrb.rb import greedy_offline, with_option
+from oracles import interpolate, manufactured_velocity
 
 SEED = 3
 
@@ -167,6 +167,32 @@ def test_sweep_is_thread_deterministic(small_rb):
     b = error_sweep(system, model, seed=SEED, test_size=4, threads=2)
     assert a.rows == b.rows
     assert a.test_points == b.test_points
+
+
+def test_sweep_truths_are_bit_identical_across_threads(small_rb):
+    # each sweep runs on a fresh system, so at 4 threads the first truth
+    # solves race to build its center factor
+    _, model = small_rb
+    truths = []
+    for threads in (1, 4):
+        system = FlowSystem(ProblemConfig(
+            "stokes", "P1P1", StabilizationConfig("BrezziPitkaranta", 0.05)),
+            8, 4)
+        seen = {}
+        solve = system.solve
+
+        def record(mu, solve=solve, seen=seen):
+            seen[tuple(mu)] = sol = solve(mu)
+            return sol
+        system.solve = record
+        error_sweep(system, model, seed=SEED, test_size=8, threads=threads)
+        truths.append(seen)
+    one, four = truths
+    assert len(one) == 8 and one.keys() == four.keys()
+    for mu, sol in one.items():
+        assert np.array_equal(sol.velocity.values, four[mu].velocity.values)
+        assert np.array_equal(sol.pressure.values, four[mu].pressure.values)
+        assert sol.diagnostics == four[mu].diagnostics
 
 
 def test_sweep_and_infsup_accept_any_option_view(small_rb):

@@ -14,12 +14,12 @@ from cavityrb.assembly import (AffineOperator, StabilizationConfig,
                                assemble_body_force,
                                assemble_momentum_stab_body_force,
                                assemble_stab_body_force)
-from cavityrb.fespace import eval as fe_eval
-from cavityrb.fespace import interpolate, make_space, zero_function
+from cavityrb.fespace import make_space, zero_function
 from cavityrb.hifi import NEWTON_TOL, FlowSystem, ProblemConfig
-from cavityrb.linalg import RCOND_TOL
+from cavityrb.linalg import RCOND_TOL, SparseLU
 from cavityrb.mesh import build_rect_mesh
 from cavityrb.util import SingularSystemError
+from oracles import direct_newton, direct_stokes, fe_eval, interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +347,6 @@ def test_zero_lid_gives_zero_flow():
     assert sol.diagnostics["rcond"] is None
 
 
-def test_continuation_matches_direct_solve():
-    cfg = ProblemConfig("navier_stokes", "P2P2",
-                        StabilizationConfig("SUPGFamily", 1.0))
-    system = FlowSystem(cfg, 16, 8)
-    direct = system.solve_navier_stokes((150.0, 2.0))
-    continued = system.solve_navier_stokes_continued((150.0, 2.0))
-    assert np.array_equal(direct.velocity.values, continued.velocity.values)
-    assert np.array_equal(direct.pressure.values, continued.pressure.values)
-
-
 @pytest.mark.parametrize("pair,method,delta", [
     ("P2P2", "SUPGFamily", 1.0),
     ("P1P1", "SUPGFamily", 1.0),
@@ -377,31 +367,32 @@ def test_jacobian_action_matches_assembled_jacobian(pair, method, delta):
     assert _rel(got, jac @ x) <= 1e-12
 
 
-def test_newton_refactors_when_its_factor_is_stale(ns_system, monkeypatch):
-    # the first factored Jacobian comes from a far parameter and state:
-    # the Krylov steps it preconditions miss their tolerance, so Newton
-    # factors afresh and still reaches the usual tolerance
-    mu, far = (120.0, 2.0), (200.0, 3.0)
-    far_u = ns_system.solve_navier_stokes(far).total_velocity.values
-    matrix = ns_system._saddle_matrix
-    stale = []
-
-    def first_jacobian_stale(m, u_total=None, linear=None):
-        if u_total is not None and not stale:
-            stale.append(m)
-            return matrix(far, far_u)
-        return matrix(m, u_total, linear)
-    monkeypatch.setattr(ns_system, "_saddle_matrix", first_jacobian_stale)
-    sol = ns_system.solve_navier_stokes(mu)
+def test_newton_refactors_when_its_factor_is_stale(monkeypatch):
+    # a center factor from far outside the box (Reynolds 1, the linear
+    # matrix alone) preconditions GMRES too poorly for two restart
+    # cycles: each missed step factors its own Jacobian, and Newton still
+    # reaches the usual tolerance and the direct Newton solution
+    cfg = ProblemConfig("navier_stokes", "P2P2",
+                        StabilizationConfig("SUPGFamily", 1.0))
+    system = FlowSystem(cfg, 16, 8)
+    mu = (120.0, 2.0)
+    far = SparseLU(system._saddle_matrix((1.0, 1.5)))
+    monkeypatch.setattr(system, "_center", far)
+    sol = system.solve_navier_stokes(mu)
     diag = sol.diagnostics
-    assert stale == [mu]
+    assert system.center_factor() is far
     assert diag["factorizations"] >= 2
     assert diag["krylov_iterations"] > 0
-    ref = ns_system.residual_reference(mu)
+    assert diag["rcond_factor"] == "own"
+    assert diag["rcond"] != far.rcond
+    ref = system.residual_reference(mu)
     assert diag["residuals"][-1] <= NEWTON_TOL * ref
-    r = ns_system.residual(mu, sol.velocity.values, sol.pressure.values,
-                           diag["lambda"])
+    r = system.residual(mu, sol.velocity.values, sol.pressure.values,
+                        diag["lambda"])
     assert np.linalg.norm(r) <= NEWTON_TOL * ref
+    u, p = direct_newton(system, mu)
+    assert _rel(sol.velocity.values, u) <= 1e-8
+    assert _rel(sol.pressure.values, p) <= 1e-8
 
 
 def test_newton_diagnostics_count_factors_and_krylov_steps(ns_system):
@@ -410,7 +401,11 @@ def test_newton_diagnostics_count_factors_and_krylov_steps(ns_system):
     diag = first.diagnostics
     assert isinstance(diag["factorizations"], int)
     assert isinstance(diag["krylov_iterations"], int)
-    assert 1 <= diag["factorizations"] <= diag["iterations"]
+    # inside the box the center factor serves every step
+    assert diag["factorizations"] == 0
+    assert diag["rcond_factor"] == "center"
+    assert diag["rcond"] == ns_system.center_factor().rcond
+    assert diag["krylov_iterations"] >= diag["iterations"]
     # repeat solves are bit-identical, diagnostics included
     again = ns_system.solve_navier_stokes(mu)
     assert np.array_equal(first.velocity.values, again.velocity.values)
@@ -428,6 +423,134 @@ def test_total_velocity_adds_lifting(stokes_bp):
     system, sol = stokes_bp
     want = sol.velocity.values + system.lifting.values
     assert np.array_equal(sol.total_velocity.values, want)
+
+
+# ---------------------------------------------------------------------------
+# the center factor: one kept factor per system preconditions every solve
+
+
+STOKES_PAIRS = [("P1P1", "BrezziPitkaranta", 0.05),
+                ("P2P2", "ResidualBased", 0.05),
+                ("P2P1", "None", 0.0),
+                ("P1P0", "EdgeJumpP1P0", 0.05)]
+
+
+@pytest.mark.parametrize("pair,method,delta", STOKES_PAIRS)
+def test_stokes_matches_direct_solve(pair, method, delta):
+    cfg = ProblemConfig("stokes", pair, StabilizationConfig(method, delta))
+    system = FlowSystem(cfg, 16, 8)
+    for mu in [(0.25, 1.0), (0.75, 3.0), (0.25, 3.0), (0.61, 1.3)]:
+        sol = system.solve_stokes(mu)
+        u, p = direct_stokes(system, mu)
+        assert _rel(sol.velocity.values, u) <= 1e-10
+        assert _rel(sol.pressure.values, p) <= 1e-10
+        diag = sol.diagnostics
+        assert diag["factorizations"] == 0
+        assert diag["rcond_factor"] == "center"
+        assert diag["rcond"] == system.center_factor().rcond
+        assert diag["krylov_iterations"] > 0
+
+
+def test_stokes_miss_factors_its_own_matrix(monkeypatch):
+    # a center factor from far outside the box leaves GMRES short of
+    # STOKES_ACCEPT: the solve falls back to its own factor, once
+    cfg = ProblemConfig("stokes", "P2P2",
+                        StabilizationConfig("ResidualBased", 0.05))
+    system = FlowSystem(cfg, 8, 4)
+    far = SparseLU(system._saddle_matrix((1e3, -0.9)))
+    monkeypatch.setattr(system, "_center", far)
+    mu = (0.3, 2.5)
+    sol = system.solve_stokes(mu)
+    diag = sol.diagnostics
+    assert diag["factorizations"] == 1
+    assert diag["rcond_factor"] == "own"
+    assert diag["rcond"] != far.rcond
+    assert diag["residual"] <= 1e-12
+    u, p = direct_stokes(system, mu)
+    assert _rel(sol.velocity.values, u) <= 1e-12
+    assert _rel(sol.pressure.values, p) <= 1e-12
+
+
+@pytest.mark.parametrize("problem", ["stokes", "navier_stokes"])
+def test_truth_does_not_depend_on_earlier_solves(problem):
+    cfg = ProblemConfig(problem, "P2P2", StabilizationConfig(
+        "ResidualBased" if problem == "stokes" else "SUPGFamily", 0.05))
+    first, then = [(0.3, 1.2), (0.7, 2.9)] if problem == "stokes" \
+        else [(110.0, 1.6), (190.0, 2.8)]
+    alone = FlowSystem(cfg, 16, 8).solve(then)
+    system = FlowSystem(cfg, 16, 8)
+    system.solve(first)
+    after = system.solve(then)
+    assert np.array_equal(alone.velocity.values, after.velocity.values)
+    assert np.array_equal(alone.pressure.values, after.pressure.values)
+    assert alone.diagnostics == after.diagnostics
+
+
+def test_concurrent_first_solves_share_one_center_factor(monkeypatch):
+    # four threads race to the first solve of a fresh Navier-Stokes
+    # system: one center factor is built, no Stokes factor at all, and
+    # every truth equals the one-thread solve bit for bit
+    cfg = ProblemConfig("navier_stokes", "P2P2",
+                        StabilizationConfig("SUPGFamily", 1.0))
+    points = [(100.0, 1.5), (200.0, 3.0), (130.0, 2.6), (170.0, 1.9)]
+    serial = [FlowSystem(cfg, 8, 4).solve(mu) for mu in points]
+    contexts = []
+
+    class Counted(SparseLU):
+        def __init__(self, matrix, context=""):
+            contexts.append(context)
+            super().__init__(matrix, context)
+    monkeypatch.setattr(sys.modules[FlowSystem.__module__], "SparseLU",
+                        Counted)
+    system = FlowSystem(cfg, 8, 4)
+    assert system._center is None      # built by the first solve, lazily
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        racing = list(pool.map(system.solve, points))
+    assert sum(c.startswith("center factor") for c in contexts) == 1
+    assert not any(c.startswith("stokes") for c in contexts)
+    for a, b in zip(serial, racing):
+        assert np.array_equal(a.velocity.values, b.velocity.values)
+        assert np.array_equal(a.pressure.values, b.pressure.values)
+        assert a.diagnostics == b.diagnostics
+
+
+def test_cold_center_solve_is_the_center_run():
+    # the center factor's own Newton run factors every step and is the
+    # cold solve at the center, whichever solve built it
+    cfg = ProblemConfig("navier_stokes", "P2P2",
+                        StabilizationConfig("SUPGFamily", 1.0))
+    center = cfg.center()
+    assert center == (150.0, 2.25)
+    first = FlowSystem(cfg, 8, 4).solve(center)
+    system = FlowSystem(cfg, 8, 4)
+    system.solve((110.0, 2.9))
+    later = system.solve(center)
+    assert np.array_equal(first.velocity.values, later.velocity.values)
+    assert np.array_equal(first.pressure.values, later.pressure.values)
+    assert first.diagnostics == later.diagnostics
+    diag = later.diagnostics
+    assert diag["factorizations"] == diag["iterations"] > 0
+    assert diag["krylov_iterations"] == 0
+    assert diag["rcond_factor"] == "own"
+    u, p = direct_newton(system, center)
+    assert _rel(later.velocity.values, u) <= 1e-12
+    assert _rel(later.pressure.values, p) <= 1e-12
+    # a copy: changing it leaves the next center solve alone
+    later.velocity.values[:] = 0.0
+    assert np.array_equal(system.solve(center).velocity.values,
+                          first.velocity.values)
+
+
+def test_newton_matches_direct_newton_cold_and_warm(ns_system):
+    mu, near = (185.0, 1.7), (175.0, 1.8)
+    cold = ns_system.solve_navier_stokes(mu)
+    guess = ns_system.solve_navier_stokes(near)
+    warm = ns_system.solve_navier_stokes(mu, initial_guess=guess)
+    assert warm.diagnostics["iterations"] < cold.diagnostics["iterations"]
+    for sol, start in ((cold, None), (warm, guess)):
+        u, p = direct_newton(ns_system, mu, start)
+        assert _rel(sol.velocity.values, u) <= 1e-9
+        assert _rel(sol.pressure.values, p) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

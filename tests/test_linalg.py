@@ -1,11 +1,14 @@
 """Linear algebra oracles: LU, Gram-Schmidt, generalized singular values."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse
 
-from cavityrb.assembly import assemble_gram
+from cavityrb.assembly import StabilizationConfig, assemble_gram
 from cavityrb.fespace import make_space
+from cavityrb.hifi import FlowSystem, ProblemConfig
 from cavityrb.linalg import (RCOND_TOL, CsrPattern, SparseLU, dense_lu_solve,
                              modified_gram_schmidt, smallest_gsv)
 from cavityrb.mesh import build_rect_mesh
@@ -121,6 +124,21 @@ def test_lu_random_residuals():
         scale = np.linalg.norm(dense, "fro") * np.linalg.norm(x) \
             + np.linalg.norm(rhs)
         assert np.linalg.norm(m @ x - rhs) <= 1e-10 * scale
+
+
+def test_lu_concurrent_solves_are_bit_identical():
+    # the center factor of a FlowSystem is shared by every truth thread:
+    # concurrent solves on one factor give the one-thread bits
+    cfg = ProblemConfig("stokes", "P2P2",
+                        StabilizationConfig("ResidualBased", 0.05))
+    lu = SparseLU(FlowSystem(cfg, 16, 8)._saddle_matrix((0.5, 2.0)))
+    rng = np.random.default_rng(11)
+    rhs = [rng.standard_normal(lu._lu.shape[0]) for _ in range(64)]
+    serial = [lu.solve(b) for b in rhs]
+    for _ in range(3):
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            racing = list(pool.map(lu.solve, rhs))
+        assert all(np.array_equal(a, b) for a, b in zip(serial, racing))
 
 
 def euclid():
