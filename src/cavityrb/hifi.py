@@ -16,13 +16,16 @@ projects the same tables (``rb``).
 
 A system keeps one sparse LU factor, built at its first solve and
 never replaced: the Stokes matrix at the box center, or for
-Navier-Stokes the Newton Jacobian at the center's solution
+Navier-Stokes the Newton Jacobian near the center's solution
 (``FlowSystem.center_factor``).  Every full-order solve runs GMRES
 preconditioned by it and is judged by its true residual; a solve (or a
 Newton step) that misses factors its own matrix, uses that factor once
 and frees it (``FlowSystem._solve_linear``).  Truths therefore differ
 from direct solves at round-off, about 1e-12 relative, and do not
-depend on which solves the system ran before.
+depend on which solves the system ran before.  A one-off solve pays for
+the center factor (for Navier-Stokes, a few factored Newton steps at
+the center) on top of its own GMRES; the factor pays off over the many
+solves of a greedy or a sweep.
 
 Navier-Stokes is solved by an inexact Newton iteration on the total
 velocity field, cold from the zero homogeneous state; the Jacobian
@@ -36,7 +39,6 @@ quadratic terms.
 
 from __future__ import annotations
 
-import copy
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -62,9 +64,9 @@ from .assembly import (
     assemble_viscous,
 )
 from .fespace import FeFunction, FunctionSpace, interpolate_lifting, make_space
-from .linalg import SparseLU
+from .linalg import SparseLU, release_free_heap
 from .mesh import Mesh, build_rect_mesh
-from .util import NonConvergenceError
+from .util import NonConvergenceError, SingularSystemError
 
 PAIRS = {"P1P1": ("P1", "P1"), "P2P2": ("P2", "P2"),
          "P1P0": ("P1", "P0"), "P2P1": ("P2", "P1")}
@@ -96,6 +98,13 @@ KRYLOV_CYCLES = 2
 STOKES_RTOL = 1e-12
 STOKES_ACCEPT = 1e-11
 KRYLOV_FORCING = 0.1
+# The Navier-Stokes center factor is the Jacobian at the first Newton
+# iterate at the box center whose residual is within CENTER_TOL of the
+# zero state's: a preconditioner needs no converged state, and each tail
+# step would cost a factorization.  On the 32x16 P2P2 SUPG system the
+# sweep's Krylov iterations with it match those with the converged
+# Jacobian's factor within 1%.
+CENTER_TOL = 1e-2
 
 
 class SaddleBlock(NamedTuple):
@@ -193,10 +202,9 @@ class FeSolution:
     """Velocity (homogeneous part), pressure, and the lifting field.
 
     Every solve's ``diagnostics`` count its own ``factorizations`` (made
-    when GMRES missed, and every step of the center factor's own Newton
-    run; the center factor is not one of them) and its
-    ``krylov_iterations``.  ``diagnostics["rcond"]`` is the estimated
-    reciprocal condition number of the factor named by
+    when GMRES missed; the center factor and its Newton run are not
+    counted) and its ``krylov_iterations``.  ``diagnostics["rcond"]`` is
+    the estimated reciprocal condition number of the factor named by
     ``diagnostics["rcond_factor"]``: "own", the smallest over the solve's
     own factors, when it made any; else "center", the center factor
     that preconditioned it; None for both when Newton took no step.
@@ -276,7 +284,7 @@ class FlowSystem:
         self.n_free = self.free.size
         self.n_pressure = self.pressure_space.dof_count
         self._center: SparseLU | None = None    # see ``center_factor``
-        self._center_solution: FeSolution | None = None
+        self._center_error: Exception | None = None
         self._center_lock = threading.Lock()
 
     # -- the saddle table ---------------------------------------------
@@ -462,27 +470,36 @@ class FlowSystem:
         """The system's one kept factor, built at the first call.
 
         Stokes factors the saddle matrix at the box center; Navier-Stokes
-        the Newton Jacobian at the center's solution, found by a Newton
-        run from the zero homogeneous state whose every step factors its
-        own Jacobian and frees it; that run is kept as the cold solve at
-        the center (``solve_navier_stokes``).  The factor is a function of
-        the configuration alone, so no solve depends on the solves before
-        it; nothing replaces or frees it while the system lives.  It is
-        built under a lock: concurrent first solves wait for one factor,
-        and ``SparseLU.solve`` on it is then safe from any thread.
+        the Newton Jacobian at the first iterate of a Newton run at the
+        center, from the zero homogeneous state, whose residual is within
+        CENTER_TOL of the zero state's; every step of that run factors
+        its own Jacobian and frees it.  The factor is a function of the
+        configuration alone, so no solve depends on the solves before it;
+        nothing replaces or frees it while the system lives.  It is built
+        under a lock: concurrent first solves wait for one factor, and
+        ``SparseLU.solve`` on it is then safe from any thread.  A failed
+        build (a singular factor, a stalled run) is not retried: every
+        call raises its error again.
         """
         with self._center_lock:
+            if self._center_error is not None:
+                raise self._center_error
             if self._center is None:
                 mu = self.config.center()
-                if self.config.problem == "navier_stokes":
-                    sol = self._center_solution = self._newton(
-                        mu, np.zeros(self.velocity_space.dof_count),
-                        np.zeros(self.n_pressure), None)
-                    k = self._saddle_matrix(mu, sol.total_velocity.values)
-                else:
-                    k = self._saddle_matrix(mu)
-                self._center = SparseLU(
-                    k, context=f"center factor at mu={tuple(mu)}")
+                try:
+                    if self.config.problem == "navier_stokes":
+                        near = self._newton(
+                            mu, np.zeros(self.velocity_space.dof_count),
+                            np.zeros(self.n_pressure), None, CENTER_TOL)
+                        k = self._saddle_matrix(
+                            mu, near.total_velocity.values)
+                    else:
+                        k = self._saddle_matrix(mu)
+                    self._center = SparseLU(
+                        k, context=f"center factor at mu={tuple(mu)}")
+                except (SingularSystemError, NonConvergenceError) as exc:
+                    self._center_error = exc
+                    raise
         return self._center
 
     @staticmethod
@@ -494,8 +511,9 @@ class FlowSystem:
         tolerance rtol, judged by its true residual whatever GMRES
         reports (its flag reads the same residual against rtol).  On a
         miss, or with no ``precond``, it factors ``matrix()`` for this
-        solve alone and frees the factor on return.  ``krylov`` gets an
-        entry per GMRES iteration, ``rconds`` the rcond of each factor.
+        solve alone, then frees the factor and returns its pages
+        (``release_free_heap``).  ``krylov`` gets an entry per GMRES
+        iteration, ``rconds`` the rcond of each factor.
         """
         if precond is not None:
             x, info = scipy.sparse.linalg.gmres(
@@ -509,7 +527,10 @@ class FlowSystem:
                 return x
         lu = SparseLU(matrix(), context=context)
         rconds.append(lu.rcond)
-        return lu.solve(rhs)
+        x = lu.solve(rhs)
+        del lu
+        release_free_heap()
+        return x
 
     @staticmethod
     def _factor_diagnostics(center, krylov: list, rconds: list) -> dict:
@@ -550,9 +571,7 @@ class FlowSystem:
     def solve_navier_stokes(self, mu, initial_guess: FeSolution | None = None
                             ) -> FeSolution:
         """Inexact Newton on the stabilized nonlinear system, from
-        ``initial_guess`` or, cold, from the zero homogeneous state; the
-        cold solve at the box center is a copy of the center factor's own
-        run.
+        ``initial_guess`` or, cold, from the zero homogeneous state.
 
         Every step solves J_k d = -r_k by GMRES preconditioned by the
         center factor, with J_k applied matrix-free
@@ -564,12 +583,6 @@ class FlowSystem:
         """
         if self.config.problem != "navier_stokes":
             raise ValueError("configured problem is not Navier-Stokes")
-        if initial_guess is None and tuple(mu) == self.config.center():
-            self.center_factor()
-            sol = self._center_solution
-            return self._pack_solution(
-                mu, sol.velocity.values.copy(), sol.pressure.values.copy(),
-                copy.deepcopy(sol.diagnostics))
         if initial_guess is None:
             u_full = np.zeros(self.velocity_space.dof_count)
             p = np.zeros(self.n_pressure)
@@ -579,8 +592,10 @@ class FlowSystem:
         return self._newton(mu, u_full, p, self.center_factor)
 
     def _newton(self, mu, u_full: np.ndarray, p: np.ndarray,
-                center: Callable[[], SparseLU] | None) -> FeSolution:
-        """Newton from (u_full, p), updated in place.  Its steps are
+                center: Callable[[], SparseLU] | None,
+                tol: float = NEWTON_TOL) -> FeSolution:
+        """Newton from (u_full, p), updated in place, until the residual
+        is within ``tol`` of the zero state's.  Its steps are
         preconditioned by ``center()``, asked for at the first step; with
         no ``center``, as in the center factor's own run, every step
         factors its Jacobian.  The linear saddle matrix at mu is
@@ -597,13 +612,13 @@ class FlowSystem:
             r = self.residual(mu, u_full, p, lam)
             rn = float(np.linalg.norm(r))
             history.append(rn)
-            if rn <= NEWTON_TOL * ref:
+            if rn <= tol * ref:
                 break
             if iterations >= NEWTON_MAX_ITER:
                 raise NonConvergenceError(
                     f"Newton stalled after {iterations} iterations at "
                     f"mu={tuple(mu)} (residual {rn:.3e}, target "
-                    f"{NEWTON_TOL * ref:.3e})", history)
+                    f"{tol * ref:.3e})", history)
             if kept is None and center is not None:
                 kept = center()
             u_t = u_full + self.lifting.values

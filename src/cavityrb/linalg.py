@@ -81,12 +81,24 @@ class CsrPattern:
                                        shape=self.shape)
 
 
-try:    # glibc's malloc_trim; a no-op where the C library has none
+try:    # glibc's malloc_trim; absent from other C libraries
     _malloc_trim = ctypes.CDLL(None).malloc_trim
     _malloc_trim.argtypes = [ctypes.c_size_t]
 except (AttributeError, OSError, TypeError):
-    def _malloc_trim(pad):
-        return 0
+    _malloc_trim = None
+
+
+def release_free_heap() -> None:
+    """Hand the heap's free pages back to the operating system.
+
+    A sparse factor's L and U are tens of megabytes of malloc'd blocks.
+    glibc keeps the blocks of a dropped factor in its heap, where a
+    factor that lives on (a system's center factor) pins them, so
+    ``hifi`` calls this once it has dropped a transient factor.  glibc's
+    ``malloc_trim``; a no-op with any other C library.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 class SparseLU:
@@ -95,12 +107,6 @@ class SparseLU:
     Raises SingularSystemError when the factorization fails outright or
     when the estimated reciprocal 1-norm condition number ``rcond``
     falls to RCOND_TOL or below; ``rcond`` is kept for diagnostics.
-
-    A factor's L and U are tens of megabytes of malloc'd blocks.  glibc
-    keeps freed blocks in its heap, where a factor that lives on (a
-    system's center factor) pins them, so a dropped factor hands the
-    heap's free pages back to the operating system at once
-    (``malloc_trim``).
     """
 
     def __init__(self, matrix: scipy.sparse.spmatrix, context: str = ""):
@@ -115,10 +121,6 @@ class SparseLU:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(rhs)
-
-    def __del__(self):
-        self.__dict__.pop("_lu", None)
-        _malloc_trim(0)
 
 
 def _refuse_singular(rcond: float, context: str) -> None:

@@ -599,12 +599,12 @@ def _snapshot(system: FlowSystem, model: ReducedModel | None, mu) -> FeSolution:
     """The greedy's FE snapshot at mu.
 
     The first snapshot, at the box center, builds the system's center
-    factor, which preconditions every later solve; for Navier-Stokes it
-    is the center factor's own Newton run.  Later Navier-Stokes snapshots
-    start Newton from the current model's reconstructed solution at mu,
-    which lies close to the truth at the point the indicator picked;
-    where the reduced or the warm Newton solve fails, the cold solve
-    from the zero homogeneous state takes over.  Stokes needs no guess.
+    factor, which preconditions it and every later solve.  Later
+    Navier-Stokes snapshots start Newton from the current model's
+    reconstructed solution at mu, which lies close to the truth at the
+    point the indicator picked; where the reduced or the warm Newton
+    solve fails, the cold solve from the zero homogeneous state takes
+    over.  Stokes needs no guess.
     """
     if model is None or system.config.problem != "navier_stokes":
         return system.solve(mu)

@@ -15,10 +15,10 @@ from cavityrb.assembly import (AffineOperator, StabilizationConfig,
                                assemble_momentum_stab_body_force,
                                assemble_stab_body_force)
 from cavityrb.fespace import make_space, zero_function
-from cavityrb.hifi import NEWTON_TOL, FlowSystem, ProblemConfig
+from cavityrb.hifi import CENTER_TOL, NEWTON_TOL, FlowSystem, ProblemConfig
 from cavityrb.linalg import RCOND_TOL, SparseLU
 from cavityrb.mesh import build_rect_mesh
-from cavityrb.util import SingularSystemError
+from cavityrb.util import NonConvergenceError, SingularSystemError
 from oracles import direct_newton, direct_stokes, fe_eval, interpolate
 
 
@@ -514,31 +514,66 @@ def test_concurrent_first_solves_share_one_center_factor(monkeypatch):
         assert a.diagnostics == b.diagnostics
 
 
-def test_cold_center_solve_is_the_center_run():
-    # the center factor's own Newton run factors every step and is the
-    # cold solve at the center, whichever solve built it
+def test_center_run_stops_at_center_tol_and_is_no_truth(monkeypatch):
+    # the center factor's own Newton run factors every step and stops at
+    # the first iterate within CENTER_TOL; the cold solve at the center
+    # is then an ordinary solve, preconditioned by that factor
     cfg = ProblemConfig("navier_stokes", "P2P2",
                         StabilizationConfig("SUPGFamily", 1.0))
     center = cfg.center()
     assert center == (150.0, 2.25)
-    first = FlowSystem(cfg, 8, 4).solve(center)
     system = FlowSystem(cfg, 8, 4)
-    system.solve((110.0, 2.9))
-    later = system.solve(center)
-    assert np.array_equal(first.velocity.values, later.velocity.values)
-    assert np.array_equal(first.pressure.values, later.pressure.values)
-    assert first.diagnostics == later.diagnostics
-    diag = later.diagnostics
-    assert diag["factorizations"] == diag["iterations"] > 0
-    assert diag["krylov_iterations"] == 0
-    assert diag["rcond_factor"] == "own"
+    runs = []
+    newton = system._newton
+
+    def spy(mu, u, p, precond, tol=NEWTON_TOL):
+        sol = newton(mu, u, p, precond, tol)
+        runs.append((tol, sol))
+        return sol
+    monkeypatch.setattr(system, "_newton", spy)
+    sol = system.solve(center)
+    assert [tol for tol, _ in runs] == [CENTER_TOL, NEWTON_TOL]
+    near = runs[0][1].diagnostics
+    ref = system.residual_reference(center)
+    assert near["residuals"][-1] <= CENTER_TOL * ref < near["residuals"][-2]
+    assert near["factorizations"] == near["iterations"] > 0
+    assert near["krylov_iterations"] == 0
+    diag = sol.diagnostics
+    assert diag["factorizations"] == 0
+    assert diag["rcond_factor"] == "center"
+    assert diag["residuals"][-1] <= NEWTON_TOL * ref
     u, p = direct_newton(system, center)
-    assert _rel(later.velocity.values, u) <= 1e-12
-    assert _rel(later.pressure.values, p) <= 1e-12
-    # a copy: changing it leaves the next center solve alone
-    later.velocity.values[:] = 0.0
-    assert np.array_equal(system.solve(center).velocity.values,
-                          first.velocity.values)
+    assert _rel(sol.velocity.values, u) <= 1e-9
+    assert _rel(sol.pressure.values, p) <= 1e-9
+
+
+def test_failed_center_run_is_not_repeated(monkeypatch):
+    # a center run that stalls fails every solve of the system, and is
+    # run once: later and concurrent solves raise its error again
+    cfg = ProblemConfig("navier_stokes", "P2P2",
+                        StabilizationConfig("SUPGFamily", 1.0))
+    system = FlowSystem(cfg, 8, 4)
+    runs = []
+    newton = system._newton
+
+    def stalls_at_center(mu, u, p, precond, tol=NEWTON_TOL):
+        if precond is not None:     # a solve, not the center run
+            return newton(mu, u, p, precond, tol)
+        runs.append(tuple(mu))
+        raise NonConvergenceError("planted stall", [1.0])
+    monkeypatch.setattr(system, "_newton", stalls_at_center)
+
+    def attempt(mu):
+        try:
+            system.solve(mu)
+        except NonConvergenceError as exc:
+            return str(exc)
+        return "solved"
+    points = [(110.0, 1.6), (190.0, 2.8), (130.0, 2.6), (170.0, 1.9)]
+    assert attempt(points[0]) == "planted stall"
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert list(pool.map(attempt, points)) == ["planted stall"] * 4
+    assert runs == [cfg.center()]
 
 
 def test_newton_matches_direct_newton_cold_and_warm(ns_system):

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -703,20 +704,52 @@ def test_singular_reduced_system_raises_with_rcond(stokes_rb, eps):
         assert f"option {opt} at mu={MU}" in str(err.value)
 
 
+def _rational_rcond(view, mu):
+    """_exact_rcond in exact rational arithmetic: the floating matrix's
+    entries are binary fractions, so its inverse has no round-off."""
+    k, _, _ = view.saddle.evaluate(view.geometry(), mu,
+                                   view.n_vel + view.n_p, view.stab_online)
+    n = len(k)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j))
+                                       for j in range(n)]
+         for i, row in enumerate(k.tolist())]
+    for c in range(n):      # Gauss-Jordan, any nonzero pivot is exact
+        piv = next(r for r in range(c, n) if a[r][c] != 0)
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+
+    def norm1(m):
+        return max(sum(abs(row[j]) for row in m) for j in range(n))
+    inv = [row[n:] for row in a]
+    return float(1 / (norm1([[Fraction(x) for x in row]
+                             for row in k.tolist()]) * norm1(inv)))
+
+
 def test_well_posed_reduced_solve_reports_rcond(stokes_rb):
-    # the same construction at eps = 1e-5 reads rcond 3e-13 to 1e-11
     _, model, _ = stokes_rb
+    for opt in OPTIONS:
+        view = with_option(model, opt)
+        rcond = solve_reduced(view, MU)[2]["rcond"]
+        exact = _exact_rcond(view, MU)
+        # gecon's estimate of ||K^-1|| is a lower bound, so rcond is
+        # an upper bound up to the inverse's own error (kappa * eps)
+        assert rcond > RCOND_TOL
+        assert exact * (1 - 1e-6) <= rcond <= 10.0 * exact
+    # the same construction at eps = 1e-5 reads rcond 3e-13 to 1e-11:
+    # kappa * eps reaches 7e-4, so the estimate's round-off is checked
+    # against the exact rational value, to kappa * eps relative
     near = _near_duplicate_pressure(model, 1e-5)
     for opt in OPTIONS:
-        for view in (with_option(model, opt), with_option(near, opt)):
-            rcond = solve_reduced(view, MU)[2]["rcond"]
-            exact = _exact_rcond(view, MU)
-            # gecon's estimate of ||K^-1|| is a lower bound, so rcond is
-            # an upper bound up to the round-off of the inverse and of the
-            # factor's solves, a few kappa * eps with kappa = 1 / exact
-            assert rcond > RCOND_TOL
-            slack = 10.0 * np.finfo(float).eps / exact
-            assert exact * (1 - slack) <= rcond <= 10.0 * exact
+        view = with_option(near, opt)
+        rcond = solve_reduced(view, MU)[2]["rcond"]
+        exact = _rational_rcond(view, MU)
+        assert rcond > RCOND_TOL
+        kappa_eps = np.finfo(float).eps / exact
+        assert exact * (1 - kappa_eps) <= rcond <= 10.0 * exact
 
 
 def test_online_on_singular_model_exits_3(stokes_rb, tmp_path, capsys):
