@@ -322,12 +322,13 @@ class _QuadraticForm:
     by theta tag.  An instance holds per-cell quadrature data only:
     reference shape values, physical gradients and the weighted test
     map, on a rule exact for the integrand.
-    Everything is derived from ``_flux``: ``action`` and ``tensor``
-    evaluate the form with batched matmuls and one deterministic sparse
-    scatter per row space, and ``_newton_matrix`` assembles the matrices
-    Q(w) and dQ(w) of a Newton step by feeding ``_flux`` the local basis
-    in place of one argument.  Nothing is written after construction,
-    so one instance serves any number of threads.
+    Everything is derived from ``_flux``: ``action``, ``tangent`` and
+    ``tensor`` evaluate the form with batched matmuls and one
+    deterministic sparse scatter per row space, and ``_newton_matrix``
+    assembles the matrices Q(w) and dQ(w) of a Newton step by feeding
+    ``_flux`` the local basis in place of one argument.  Nothing is
+    written after construction, so one instance serves any number of
+    threads.
     """
 
     TAGS: tuple = ()
@@ -387,6 +388,11 @@ class _QuadraticForm:
         zt = self._test[cells].swapaxes(1, 2) @ zn
         return zt.reshape(zt.shape[0], -1, 2, z.shape[1])
 
+    def _transport(self, x: np.ndarray) -> np.ndarray:
+        """Values (e, t, q, 1, k) of the velocity columns x, laid out as
+        ``_flux``'s transporting argument."""
+        return np.moveaxis(self._values(x), 2, 0)[:, :, :, None]
+
     def action(self, a: np.ndarray, b: np.ndarray) -> list:
         """[(tag, c_tag(a_j, b_j, .))]: the form's (rows, k) vectors for
         the k velocity columns of a (transporting) and b (transported)."""
@@ -395,11 +401,27 @@ class _QuadraticForm:
         chunks = []
         for start in range(0, a.shape[1], step):
             cols = slice(start, start + step)
-            av = np.moveaxis(self._values(a[:, cols]), 2, 0)[:, :, :, None]
-            fluxes = self._flux(av, self._gradients(b[:, cols]))
+            fluxes = self._flux(self._transport(a[:, cols]),
+                                self._gradients(b[:, cols]))
             chunks.append([self._test_apply(f) for f in fluxes])
         return [(tag, np.hstack(parts))
                 for tag, parts in zip(self.TAGS, zip(*chunks))]
+
+    def tangent(self, u: np.ndarray):
+        """The form's tangent at the velocity u, the quadratic part of a
+        Newton Jacobian: v -> [(tag, c_tag(u, v, .) + c_tag(v, u, .))],
+        (rows,) vectors.  u's point values and gradients are computed
+        here, once; each application evaluates v once, forms the flux of
+        each argument order and tests their sum."""
+        au, gu = self._transport(u[:, None]), self._gradients(u[:, None])
+
+        def apply(v: np.ndarray) -> list:
+            v = v[:, None]
+            pairs = zip(self._flux(au, self._gradients(v)),
+                        self._flux(self._transport(v), gu))
+            return [(tag, self._test_apply(f + h)[:, 0])
+                    for tag, (f, h) in zip(self.TAGS, pairs)]
+        return apply
 
     def tensor(self, z: np.ndarray, w: np.ndarray) -> AffineOperator:
         """T[i, j, k] = c(w_j, w_k, z_i) per tag: the reduced tensor of
@@ -439,7 +461,7 @@ class _QuadraticForm:
         # column 2n + c is phi_n e_c, whose component c is phi_n
         _, t, q, n = self._grad.shape
         if slot:
-            a = np.moveaxis(self._values(w[:, None]), 2, 0)[..., None]
+            a = self._transport(w[:, None])
             b = np.zeros((2, t, q, 2, 2 * n))
             b[:, :, :, 0, 0::2] = b[:, :, :, 1, 1::2] = self._grad
         else:

@@ -30,11 +30,16 @@ solves of a greedy or a sweep.
 Navier-Stokes is solved by an inexact Newton iteration on the total
 velocity field, cold from the zero homogeneous state; the Jacobian
 differentiates the convective term and the streamline-derivative
-stabilization.  Its steps apply the Jacobian matrix-free through the
-quadratic kernels' ``action`` and stop GMRES at an Eisenstat-Walker
-forcing tolerance.  A factored Jacobian (the center factor's, or a
-missed step's) is the only place that assembles the matrices of the
-quadratic terms.
+stabilization.  Each step applies the Jacobian matrix-free through the
+quadratic kernels' ``tangent`` at the step's state
+(``FlowSystem.jacobian_action``) and stops GMRES at a safeguarded
+Eisenstat-Walker forcing term: the relative residual ||r_k|| / ref
+while the residual is large, which keeps the quadratic convergence,
+and on the last step only the reduction the Newton tolerance needs
+(Kelley 1995, section 6.3).  Newton stops on its true residual, so a
+truth ends between about 1e-12 and 1e-10 of ref.  A factored Jacobian
+(the center factor's, or a missed step's) is the only place that
+assembles the matrices of the quadratic terms.
 """
 
 from __future__ import annotations
@@ -91,8 +96,9 @@ NEWTON_MAX_ITER = 25
 # Every full-order linear solve runs GMRES preconditioned by the center
 # factor, in at most KRYLOV_CYCLES restart cycles of KRYLOV_RESTART
 # iterations.  A Stokes solve asks for the relative residual STOKES_RTOL
-# and accepts up to STOKES_ACCEPT; a Newton step asks for and accepts
-# the forcing term min(KRYLOV_FORCING, ||r_k|| / ref).
+# and accepts up to STOKES_ACCEPT; a Newton step to tolerance tol asks
+# for and accepts the forcing term
+# min(KRYLOV_FORCING, max(||r_k|| / ref, 0.5 tol ref / ||r_k||)).
 KRYLOV_RESTART = 30
 KRYLOV_CYCLES = 2
 STOKES_RTOL = 1e-12
@@ -203,8 +209,11 @@ class FeSolution:
 
     Every solve's ``diagnostics`` count its own ``factorizations`` (made
     when GMRES missed; the center factor and its Newton run are not
-    counted) and its ``krylov_iterations``.  ``diagnostics["rcond"]`` is
-    the estimated reciprocal condition number of the factor named by
+    counted) and its ``krylov_iterations``.  A Newton solve also lists
+    ``residuals``, ||r_k|| at every iterate, and ``forcing``, the GMRES
+    tolerance of every step (``solve_navier_stokes``); neither goes into
+    an output file.  ``diagnostics["rcond"]`` is the estimated
+    reciprocal condition number of the factor named by
     ``diagnostics["rcond_factor"]``: "own", the smallest over the solve's
     own factors, when it made any; else "center", the center factor
     that preconditioned it; None for both when Newton took no step.
@@ -391,28 +400,34 @@ class FlowSystem:
              [cut("p", "v"), cut("p", "p"), m_col],
              [None, m_col.T, None]], format="csc")
 
-    def jacobian_action(self, mu, u_total: np.ndarray, x: np.ndarray,
-                        linear) -> np.ndarray:
-        """J x for the Newton Jacobian J at the total velocity u_total,
-        with no quadratic matrix assembled: ``linear``, the linear saddle
-        matrix at mu, times x, plus sign theta(mu) [c(u, v) + c(v, u)] of
-        every QUADRATIC_TERMS entry for the velocity part v of x, from
-        one two-column ``action`` call per kernel."""
-        out = linear @ x
-        nf, g = self.n_free, self.geometry
-        v = np.zeros(self.velocity_space.dof_count)
-        v[self.free] = x[:nf]
-        a = np.column_stack([u_total, v])
-        b = np.column_stack([v, u_total])
-        for name, rows, _, sign, _, _ in QUADRATIC_TERMS:
-            if name in self.quadratic:
-                for tag, c in self.quadratic[name].action(a, b):
-                    q = sign * g.theta(tag, mu) * (c[:, 0] + c[:, 1])
+    def jacobian_action(self, mu, u_total: np.ndarray, linear
+                        ) -> scipy.sparse.linalg.LinearOperator:
+        """The Newton Jacobian J at the total velocity u_total as an
+        operator, with no quadratic matrix assembled: J x is ``linear``,
+        the linear saddle matrix at mu, times x, plus sign theta(mu)
+        [c(u, v) + c(v, u)] of every QUADRATIC_TERMS entry for the
+        velocity part v of x.  The kernels' ``tangent`` at u_total is
+        taken here, so a Newton step builds the operator once and its
+        Krylov iterations evaluate only v."""
+        nf, npr, g = self.n_free, self.n_pressure, self.geometry
+        terms = [(rows, sign, self.quadratic[name].tangent(u_total))
+                 for name, rows, _, sign, _, _ in QUADRATIC_TERMS
+                 if name in self.quadratic]
+
+        def matvec(x):
+            out = linear @ x
+            v = np.zeros(self.velocity_space.dof_count)
+            v[self.free] = x[:nf]
+            for rows, sign, tangent in terms:
+                for tag, c in tangent(v):
+                    q = sign * g.theta(tag, mu) * c
                     if rows == "v":
                         out[:nf] += q[self.free]
                     else:
-                        out[nf:nf + self.n_pressure] += q
-        return out
+                        out[nf:nf + npr] += q
+            return out
+        return scipy.sparse.linalg.LinearOperator(linear.shape, dtype=float,
+                                                  matvec=matvec)
 
     def _split(self, x: np.ndarray):
         nf, npr = self.n_free, self.n_pressure
@@ -575,11 +590,14 @@ class FlowSystem:
 
         Every step solves J_k d = -r_k by GMRES preconditioned by the
         center factor, with J_k applied matrix-free
-        (``jacobian_action``), to the Eisenstat-Walker forcing
-        min(KRYLOV_FORCING, ||r_k|| / ref): the forcing term shrinks with
-        the residual, which keeps the quadratic tail.  A step whose true
-        residual misses it factors J_k for that step alone
-        (``_solve_linear``).
+        (``jacobian_action``), to the safeguarded Eisenstat-Walker forcing
+        min(KRYLOV_FORCING, max(||r_k|| / ref, 0.5 NEWTON_TOL ref /
+        ||r_k||)).  While the residual is above sqrt(0.5 NEWTON_TOL) ref
+        the forcing is the relative residual, which keeps the quadratic
+        convergence; below it the step is solved only as far as
+        NEWTON_TOL needs.  Newton stops on its true residual.  A step
+        whose true residual misses the forcing factors J_k for that step
+        alone (``_solve_linear``).
         """
         if self.config.problem != "navier_stokes":
             raise ValueError("configured problem is not Navier-Stokes")
@@ -598,14 +616,16 @@ class FlowSystem:
         is within ``tol`` of the zero state's.  Its steps are
         preconditioned by ``center()``, asked for at the first step; with
         no ``center``, as in the center factor's own run, every step
-        factors its Jacobian.  The linear saddle matrix at mu is
-        evaluated once per solve."""
+        factors its Jacobian.  The forcing term's safeguard reads ``tol``.
+        The linear saddle matrix at mu is evaluated once per solve, the
+        Jacobian operator once per step."""
         lam = 0.0
         ref = self.residual_reference(mu)
         k_lin = self._saddle_matrix(mu)
         history = []
         rconds = []
         krylov = []
+        forcings = []
         kept = None
         iterations = 0
         while True:
@@ -622,13 +642,12 @@ class FlowSystem:
             if kept is None and center is not None:
                 kept = center()
             u_t = u_full + self.lifting.values
-            jac = scipy.sparse.linalg.LinearOperator(
-                k_lin.shape, dtype=float,
-                matvec=lambda x: self.jacobian_action(mu, u_t, x, k_lin))
-            forcing = min(KRYLOV_FORCING, rn / ref) if ref > 0 \
-                else KRYLOV_FORCING
+            forcing = (min(KRYLOV_FORCING,
+                           max(rn / ref, 0.5 * tol * ref / rn))
+                       if ref > 0 else KRYLOV_FORCING)
+            forcings.append(forcing)
             delta = self._solve_linear(
-                jac, -r, forcing, forcing,
+                self.jacobian_action(mu, u_t, k_lin), -r, forcing, forcing,
                 lambda: self._saddle_matrix(mu, u_t, k_lin), kept, krylov,
                 rconds, f"newton step {iterations} at mu={tuple(mu)}")
             du, dp, dl = self._split(delta)
@@ -637,7 +656,7 @@ class FlowSystem:
             lam += dl
             iterations += 1
         diag = {"type": "newton", "iterations": iterations,
-                "residuals": history, "lambda": lam,
+                "residuals": history, "forcing": forcings, "lambda": lam,
                 "residual": history[-1] / ref if ref > 0 else history[-1],
                 **self._factor_diagnostics(kept, krylov, rconds)}
         return self._pack_solution(mu, u_full, p, diag)

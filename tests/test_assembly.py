@@ -622,6 +622,26 @@ def test_newton_jacobian_per_tag_matches_action(kind):
         assert np.abs(m @ z - c[:, 0]).max() <= 1e-12 * np.abs(c).max()
 
 
+@pytest.mark.parametrize("kind", QUADRATIC_KINDS)
+def test_tangent_matches_two_column_action(kind):
+    # the tangent at u applied to v is c_tag(u, v, .) + c_tag(v, u, .):
+    # the two columns of the action on (u, v) and (v, u), summed; one
+    # tangent serves any number of v
+    kernel, _, _ = _kernel(kind)
+    rng = np.random.default_rng(9)
+    u = rng.standard_normal(kernel.space.dof_count)
+    apply = kernel.tangent(u)
+    for _ in range(2):
+        v = rng.standard_normal(kernel.space.dof_count)
+        want = kernel.action(np.column_stack([u, v]), np.column_stack([v, u]))
+        got = apply(v)
+        assert [tag for tag, _ in got] == [tag for tag, _ in want]
+        for (_, t), (_, c) in zip(got, want):
+            assert t.shape == (c.shape[0],)
+            assert np.abs(t - c.sum(axis=1)).max() \
+                <= 1e-14 * np.abs(c).max()
+
+
 def _monomials(coef):
     """A polynomial in x, y from {(i, j): coefficient of x^i y^j}."""
     c = np.zeros((3, 3))

@@ -15,7 +15,8 @@ from cavityrb.assembly import (AffineOperator, StabilizationConfig,
                                assemble_momentum_stab_body_force,
                                assemble_stab_body_force)
 from cavityrb.fespace import make_space, zero_function
-from cavityrb.hifi import CENTER_TOL, NEWTON_TOL, FlowSystem, ProblemConfig
+from cavityrb.hifi import (CENTER_TOL, KRYLOV_FORCING, NEWTON_TOL, FlowSystem,
+                           ProblemConfig)
 from cavityrb.linalg import RCOND_TOL, SparseLU
 from cavityrb.mesh import build_rect_mesh
 from cavityrb.util import NonConvergenceError, SingularSystemError
@@ -289,10 +290,33 @@ def test_newton_converges_quadratically(ns_system):
     ref = ns_system.residual_reference(mu)
     hist = np.asarray(diag["residuals"]) / ref
     assert hist[-1] <= NEWTON_TOL
-    # quadratic tail, with an absolute floor once the history hits
-    # machine precision
-    assert hist[-1] <= max(10.0 * hist[-2] ** 2, 1e-13)
+    # quadratic convergence on every step whose GMRES forcing is the
+    # relative residual itself, i.e. from a residual at or above
+    # sqrt(0.5 NEWTON_TOL); below it the safeguard asks only for what
+    # NEWTON_TOL needs (test_newton_safeguard_binds_on_the_last_step)
+    quadratic = hist[:-1] >= np.sqrt(0.5 * NEWTON_TOL)
+    assert quadratic.sum() >= 2
+    assert np.all(hist[1:][quadratic] <= 10.0 * hist[:-1][quadratic] ** 2)
     assert np.all(np.diff(hist) < 0)
+
+
+def test_newton_safeguard_binds_on_the_last_step(ns_system):
+    # every step's forcing is min(KRYLOV_FORCING, max(||r_k|| / ref,
+    # 0.5 NEWTON_TOL ref / ||r_k||)); on the last step the second term
+    # wins, so GMRES stops well short of the relative residual
+    mu = (120.0, 2.0)
+    diag = ns_system.solve_navier_stokes(mu).diagnostics
+    ref = ns_system.residual_reference(mu)
+    hist = np.asarray(diag["residuals"]) / ref
+    forcing = np.asarray(diag["forcing"])
+    assert forcing.shape == (diag["iterations"],)
+    want = np.minimum(KRYLOV_FORCING,
+                      np.maximum(hist[:-1], 0.5 * NEWTON_TOL / hist[:-1]))
+    assert np.allclose(forcing, want, rtol=1e-12, atol=0.0)
+    assert forcing[-1] == pytest.approx(0.5 * NEWTON_TOL / hist[-2],
+                                        rel=1e-12)
+    assert forcing[-1] > hist[-2]
+    assert hist[-1] <= NEWTON_TOL
 
 
 def test_ns_solution_invariants(ns_system):
@@ -362,9 +386,12 @@ def test_jacobian_action_matches_assembled_jacobian(pair, method, delta):
     u[system.free] = rng.standard_normal(system.n_free)
     u_t = u + system.lifting.values
     jac = system._saddle_matrix(mu, u_t)
-    x = rng.standard_normal(jac.shape[0])
-    got = system.jacobian_action(mu, u_t, x, system._saddle_matrix(mu))
-    assert _rel(got, jac @ x) <= 1e-12
+    op = system.jacobian_action(mu, u_t, system._saddle_matrix(mu))
+    assert op.shape == jac.shape
+    # one operator serves every Krylov iteration of its step
+    for _ in range(2):
+        x = rng.standard_normal(jac.shape[0])
+        assert _rel(op @ x, jac @ x) <= 1e-12
 
 
 def test_newton_refactors_when_its_factor_is_stale(monkeypatch):
