@@ -17,8 +17,7 @@ from .rb import (GreedyTrace, ReducedModel, SupremizerOperator,
 from .analysis import (ConvergenceResult, ErrorReport, convergence_study,
                        error_sweep, infsup_profile, manufactured_errors,
                        relative_errors)
-from .util import (ConfigError, NonConvergenceError, PointNotFoundError,
-                   SingularSystemError)
+from .util import ConfigError, NonConvergenceError, SingularSystemError
 
 __version__ = "0.1.0"
 
@@ -30,6 +29,5 @@ __all__ = [
     "solve_reduced", "truncate_model", "with_option", "ConvergenceResult", "ErrorReport",
     "convergence_study", "error_sweep", "infsup_profile",
     "manufactured_errors", "relative_errors", "ConfigError",
-    "NonConvergenceError",
-    "PointNotFoundError", "SingularSystemError", "__version__",
+    "NonConvergenceError", "SingularSystemError", "__version__",
 ]

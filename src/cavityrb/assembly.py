@@ -49,7 +49,6 @@ _THETA = {
     "nu_over_a": lambda nu, a: nu / a,
     "nu_times_a": lambda nu, a: nu * a,
     "nu_times_a_sq": lambda nu, a: nu * a * a,
-    "nu_sq": lambda nu, a: nu * nu,
     "nu_sq_over_a_cu": lambda nu, a: nu * nu / (a * a * a),
     "nu_sq_over_a": lambda nu, a: nu * nu / a,
     "nu_sq_times_a": lambda nu, a: nu * nu * a,
@@ -197,12 +196,8 @@ def assemble_divergence(vel: FunctionSpace, prs: FunctionSpace
     if vel.mesh is not prs.mesh:
         raise ValueError("velocity and pressure live on different meshes")
     deg = _poly_degree(prs.family) + max(_poly_degree(vel.family) - 1, 0)
-    pts, w = triangle_rule(deg)
-    lam = bary_coords(pts)
-    pvals = shape_values(prs.family, lam)
-    dlam = shape_dlam(vel.family, lam)
-    vgrads = np.einsum("qni,tid->tqnd", dlam, vel.mesh.grad_bary)
-    wdet = 2.0 * vel.mesh.areas[:, None] * w[None, :]
+    pvals, _, _ = _quad_data(prs, deg)
+    _, vgrads, wdet = _quad_data(vel, deg)
 
     shape = (prs.n_scalar, vel.dof_count)
     vec_cols = vel.cell_vector_dofs()
@@ -560,9 +555,8 @@ class StabilizationConfig:
 
     method: one of None, BrezziPitkaranta, ResidualBased, SUPGFamily,
     EdgeJumpP1P0 (strings; "None" disables).  rho selects the momentum
-    test-function variant of ResidualBased; the continuity-row terms
-    (rho = 0) are the default and the only choice for the pressure-only
-    BrezziPitkaranta and for SUPGFamily.
+    test-function variant of ResidualBased; every other method has no
+    momentum-row terms and accepts only rho = 0, the default.
     """
 
     method: str = "None"
@@ -574,8 +568,7 @@ class StabilizationConfig:
             raise ValueError(f"unknown stabilization method {self.method!r}")
         if self.delta < 0.0:
             raise ValueError("delta must be non-negative")
-        if self.method in ("BrezziPitkaranta", "SUPGFamily") \
-                and self.rho != 0.0:
+        if self.method != "ResidualBased" and self.rho != 0.0:
             raise ValueError(f"{self.method} supports rho = 0 only")
         if self.rho not in (0.0, 1.0, -1.0):
             raise ValueError("rho must be one of 0, 1, -1")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,57 +34,41 @@ from .util import (ConfigError, NonConvergenceError, SingularSystemError,
 
 TRACE_HEADER = ("n", "mu1", "mu2", "max_indicator")
 
-_STR_KEYS = {
-    "problem": PROBLEMS,
-    "fe_pair": tuple(PAIRS),
-    "stabilization.method": STAB_METHODS,
-    "option": OPTIONS,
-}
-_FLOAT_KEYS = ("stabilization.delta", "stabilization.rho", "mu1.min",
-               "mu1.max", "mu2.min", "mu2.max", "mu_bar2", "online.mu1",
-               "online.mu2")
-_INT_KEYS = ("n_max", "train_size", "test_size", "mesh.nx", "mesh.ny",
-             "seed", "threads")
-_ALL_KEYS = tuple(_STR_KEYS) + _FLOAT_KEYS + _INT_KEYS
+
+def _key(key: str, default, choices: tuple | None = None):
+    """A RunConfig field set by config key ``key``; a string field takes
+    one of ``choices``."""
+    return field(default=default, metadata={"key": key, "choices": choices})
 
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration (defaults < config file < CLI flags)."""
+    """Resolved run configuration (defaults < config file < CLI flags).
 
-    problem: str = "stokes"
-    fe_pair: str = "P1P1"
-    method: str = "None"
-    delta: float = 0.0
-    rho: float = 0.0
-    option: str = "i"
+    The fields are the config keys, declared in echo order.
+    """
+
+    problem: str = _key("problem", "stokes", PROBLEMS)
+    fe_pair: str = _key("fe_pair", "P1P1", tuple(PAIRS))
+    method: str = _key("stabilization.method", "None", STAB_METHODS)
+    option: str = _key("option", "i", OPTIONS)
+    delta: float = _key("stabilization.delta", 0.0)
+    rho: float = _key("stabilization.rho", 0.0)
     # None = per-problem default box (see ProblemConfig)
-    mu1_min: float | None = None
-    mu1_max: float | None = None
-    mu2_min: float | None = None
-    mu2_max: float | None = None
-    mu_bar2: float = 1.0
-    online_mu1: float | None = None
-    online_mu2: float | None = None
-    n_max: int = 20
-    train_size: int = 100
-    test_size: int = 50
-    nx: int = 32
-    ny: int = 16
-    seed: int | None = None
-    threads: int = 1
-
-    _FIELD_OF_KEY = {
-        "problem": "problem", "fe_pair": "fe_pair",
-        "stabilization.method": "method", "stabilization.delta": "delta",
-        "stabilization.rho": "rho", "option": "option",
-        "mu1.min": "mu1_min", "mu1.max": "mu1_max",
-        "mu2.min": "mu2_min", "mu2.max": "mu2_max", "mu_bar2": "mu_bar2",
-        "online.mu1": "online_mu1", "online.mu2": "online_mu2",
-        "n_max": "n_max", "train_size": "train_size",
-        "test_size": "test_size", "mesh.nx": "nx", "mesh.ny": "ny",
-        "seed": "seed", "threads": "threads",
-    }
+    mu1_min: float | None = _key("mu1.min", None)
+    mu1_max: float | None = _key("mu1.max", None)
+    mu2_min: float | None = _key("mu2.min", None)
+    mu2_max: float | None = _key("mu2.max", None)
+    mu_bar2: float = _key("mu_bar2", 1.0)
+    online_mu1: float | None = _key("online.mu1", None)
+    online_mu2: float | None = _key("online.mu2", None)
+    n_max: int = _key("n_max", 20)
+    train_size: int = _key("train_size", 100)
+    test_size: int = _key("test_size", 50)
+    nx: int = _key("mesh.nx", 32)
+    ny: int = _key("mesh.ny", 16)
+    seed: int | None = _key("seed", None)
+    threads: int = _key("threads", 1)
 
     def echo_items(self) -> list[tuple[str, str]]:
         """Resolved settings as printable pairs, in declaration order.
@@ -93,21 +77,24 @@ class RunConfig:
         bytes, so it is not part of the configuration record.
         """
         out = []
-        for key in _ALL_KEYS:
-            if key == "threads":
+        for f in fields(self):
+            if f.name == "threads":
                 continue
-            value = getattr(self, self._FIELD_OF_KEY[key])
+            value = getattr(self, f.name)
             if value is None:
                 text = "none"
             elif isinstance(value, float):
                 text = fmt17(value)
             else:
                 text = str(value)
-            out.append((key, text))
+            out.append((f.metadata["key"], text))
         return out
 
     def echo_lines(self) -> list[str]:
         return [f"{k} = {v}" for k, v in self.echo_items()]
+
+
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -122,7 +109,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
                 f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"{source}:{lineno}: empty value for {key!r}")
@@ -131,19 +118,20 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def _convert(key: str, value: str):
-    if key in _STR_KEYS:
-        allowed = _STR_KEYS[key]
+    f = _FIELDS[key]
+    allowed = f.metadata["choices"]
+    if allowed is not None:
         if value not in allowed:
             raise ConfigError(
                 f"{key} must be one of {', '.join(allowed)}; got {value!r}")
         return value
+    # the annotation is a string here (``from __future__ import annotations``)
+    kind = int if f.type in ("int", "int | None") else float
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        return float(value)
+        return kind(value)
     except ValueError:
-        kind = "an integer" if key in _INT_KEYS else "a number"
-        raise ConfigError(f"{key} expects {kind}; got {value!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} expects {what}; got {value!r}") from None
 
 
 def resolve_config(args) -> RunConfig:
@@ -155,7 +143,7 @@ def resolve_config(args) -> RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
         for key, raw in parse_config_text(text, source=args.config).items():
-            setattr(rc, RunConfig._FIELD_OF_KEY[key], _convert(key, raw))
+            setattr(rc, _FIELDS[key].name, _convert(key, raw))
     if getattr(args, "seed", None) is not None:
         rc.seed = args.seed
     if getattr(args, "threads", None) is not None:

@@ -9,10 +9,13 @@ two quadratic terms, convection and SUPG transport, are listed the same
 way in ``QUADRATIC_TERMS``.  Every full-order quantity is read from
 these tables: the residual is one loop of mat-vecs over the linear
 blocks plus one quadrature-point evaluation of each quadratic term (and
-the body forces), the lifting right-hand side is the linear part of that
-loop at the zero homogeneous state, and the Stokes matrix and the Newton
-Jacobian are bordered matrices built from them.  The reduced model
-projects the same tables (``rb``).
+the body forces), and the lifting right-hand side is the linear part of
+that loop at the zero homogeneous state.  One builder,
+``FlowSystem._saddle_matrix``, borders the blocks into the Stokes matrix
+or, given a velocity, the Newton Jacobian; the Stokes right-hand side
+is minus the residual at the zero homogeneous state, so a Stokes solve
+is for Stokes systems only.  The reduced model projects the same tables
+(``rb``).
 
 A system keeps one sparse LU factor, built at its first solve and
 never replaced: the Stokes matrix at the box center, or for
@@ -316,18 +319,6 @@ class FlowSystem:
         for rows, stab, tag, vec in self.body_terms:
             yield rows, stab, tag, -1.0, vec
 
-    def _linear_residual(self, mus, state: dict) -> dict:
-        """sum sign theta_q(mu) M_q x over ``_linear_terms``, by row space
-        (every dof); the k state columns take the k parameters ``mus``,
-        one per column."""
-        g = self.geometry
-        out = {"v": np.zeros((self.velocity_space.dof_count, len(mus))),
-               "p": np.zeros((self.n_pressure, len(mus)))}
-        for rows, _, tag, sign, vec in self._linear_terms(state):
-            w = np.array([sign * g.theta(tag, m) for m in mus])
-            out[rows] += w * vec.reshape(len(vec), -1)  # body force: 1 column
-        return out
-
     def lifting_rhs(self) -> dict:
         """The lifting right-hand sides as affine vectors.
 
@@ -342,38 +333,18 @@ class FlowSystem:
             groups.setdefault((rows, stab), []).append((tag, -sign * vec))
         return {key: AffineOperator(terms) for key, terms in groups.items()}
 
-    def _saddle_matrix(self, mu, u_total: np.ndarray | None = None,
-                       linear=None):
-        """The bordered SADDLE_BLOCKS matrix at mu on the free velocity
-        dofs, with the mean constraint; given a total velocity, the
-        Newton Jacobian there: that matrix (``linear`` when given) plus
-        the bordered Q + dQ of every QUADRATIC_TERMS entry, one sparse
-        add on the same shape."""
-        k = self._linear_saddle_matrix(mu) if linear is None else linear
-        if u_total is None:
-            return k
-        g = self.geometry
-        quad: dict[str, scipy.sparse.spmatrix] = {}
-        for name, rows, _, sign, _, _ in QUADRATIC_TERMS:
-            if name in self.quadratic:
-                q, dq = self.quadratic[name].linearization(u_total)
-                m = sign * (q.evaluate(g, mu) + dq.evaluate(g, mu))
-                quad[rows] = quad[rows] + m if rows in quad else m
-        n_v = self.velocity_space.dof_count
-        v = quad.get("v", scipy.sparse.csr_matrix((n_v, n_v)))[self.free]
-        p = quad.get("p", scipy.sparse.csr_matrix((self.n_pressure, n_v)))
-        bordered = scipy.sparse.vstack([v, p], format="csr")[:, self.free]
-        bordered.resize(k.shape)
-        return k + bordered
-
-    def _linear_saddle_matrix(self, mu):
-        """The bordered SADDLE_BLOCKS matrix at mu (CSC): the Stokes
-        matrix, and the linear part of every Newton Jacobian."""
+    def _saddle_matrix(self, mu, u_total: np.ndarray | None = None):
+        """The bordered saddle matrix at mu (CSC) on the free velocity
+        dofs, with the mean constraint: the SADDLE_BLOCKS matrix (the
+        Stokes matrix, and the linear part of every Newton Jacobian) or,
+        given a total velocity, the Newton Jacobian there, with Q + dQ of
+        every QUADRATIC_TERMS entry added to its row block's velocity
+        columns before the one cut and ``bmat``."""
         g = self.geometry
         values: dict[str, scipy.sparse.spmatrix] = {}
         blocks: dict[tuple, scipy.sparse.spmatrix] = {}
 
-        def add(key, m, sign=1.0):
+        def add(key, m, sign):
             m = m if sign > 0 else -m
             blocks[key] = blocks[key] + m if key in blocks else m
 
@@ -383,8 +354,14 @@ class FlowSystem:
                 continue
             if name not in values:
                 values[name] = op.evaluate(g, mu)
-            m = values[name].T.tocsr() if transposed else values[name]
-            add((rows, cols), m, sign)
+            add((rows, cols), values[name].T.tocsr() if transposed
+                else values[name], sign)
+        if u_total is not None:
+            for name, rows, _, sign, _, _ in QUADRATIC_TERMS:
+                if name in self.quadratic:
+                    q, dq = self.quadratic[name].linearization(u_total)
+                    add((rows, "v"), q.evaluate(g, mu) + dq.evaluate(g, mu),
+                        sign)
 
         def cut(rows, cols):
             m = blocks.get((rows, cols))
@@ -395,10 +372,13 @@ class FlowSystem:
             return m
 
         m_col = scipy.sparse.csr_matrix(self.mean_vector.reshape(-1, 1))
-        return scipy.sparse.bmat(
+        k = scipy.sparse.bmat(
             [[cut("v", "v"), cut("v", "p"), None],
              [cut("p", "v"), cut("p", "p"), m_col],
              [None, m_col.T, None]], format="csc")
+        if u_total is not None:
+            k.eliminate_zeros()    # factor J's nonzeros, not stored zeros
+        return k
 
     def jacobian_action(self, mu, u_total: np.ndarray, linear
                         ) -> scipy.sparse.linalg.LinearOperator:
@@ -462,7 +442,11 @@ class FlowSystem:
         u_t = np.reshape(u_homog, (len(u_homog), -1)) \
             + self.lifting.values[:, None]
         p = np.reshape(p, (len(p), -1))
-        r = self._linear_residual(mus, {"v": u_t, "p": p})
+        r = {"v": np.zeros((self.velocity_space.dof_count, len(mus))),
+             "p": np.zeros((self.n_pressure, len(mus)))}
+        for rows, _, tag, sign, vec in self._linear_terms({"v": u_t, "p": p}):
+            w = np.array([sign * g.theta(tag, m) for m in mus])
+            r[rows] += w * vec.reshape(len(vec), -1)  # body force: 1 column
         for name, rows, _, sign, _, _ in QUADRATIC_TERMS:
             if name in self.quadratic:
                 for tag, c in self.quadratic[name].action(u_t, u_t):
@@ -500,18 +484,16 @@ class FlowSystem:
             if self._center_error is not None:
                 raise self._center_error
             if self._center is None:
-                mu = self.config.center()
+                mu, u_t = self.config.center(), None
                 try:
                     if self.config.problem == "navier_stokes":
-                        near = self._newton(
+                        u_t = self._newton(
                             mu, np.zeros(self.velocity_space.dof_count),
-                            np.zeros(self.n_pressure), None, CENTER_TOL)
-                        k = self._saddle_matrix(
-                            mu, near.total_velocity.values)
-                    else:
-                        k = self._saddle_matrix(mu)
+                            np.zeros(self.n_pressure), None, CENTER_TOL
+                        ).total_velocity.values
                     self._center = SparseLU(
-                        k, context=f"center factor at mu={tuple(mu)}")
+                        self._saddle_matrix(mu, u_t),
+                        context=f"center factor at mu={tuple(mu)}")
                 except (SingularSystemError, NonConvergenceError) as exc:
                     self._center_error = exc
                     raise
@@ -560,15 +542,18 @@ class FlowSystem:
     def solve_stokes(self, mu) -> FeSolution:
         """Linear saddle solve (the Stokes operator under config's nu rule).
 
-        The right-hand side is minus the linear residual of the zero
-        homogeneous state.  GMRES preconditioned by the center factor
-        asks for STOKES_RTOL and accepts a true relative residual up to
+        The right-hand side is minus the residual of the zero homogeneous
+        state.  GMRES preconditioned by the center factor asks for
+        STOKES_RTOL and accepts a true relative residual up to
         STOKES_ACCEPT; a miss factors K(mu) for this solve alone
-        (``_solve_linear``).
+        (``_solve_linear``).  A Navier-Stokes system is refused: its
+        zero-state residual holds the quadratic terms.
         """
+        if self.config.problem != "stokes":
+            raise ValueError("configured problem is not Stokes")
         k = self._saddle_matrix(mu)
-        r0 = self._linear_residual([mu], {"v": self.lifting.values[:, None]})
-        rhs = np.concatenate([-r0["v"][self.free, 0], -r0["p"][:, 0], [0.0]])
+        rhs = -self.residual(mu, np.zeros(self.velocity_space.dof_count),
+                             np.zeros(self.n_pressure))
         center = self.center_factor()
         krylov, rconds = [], []
         x = self._solve_linear(k, rhs, STOKES_RTOL, STOKES_ACCEPT, lambda: k,
@@ -618,7 +603,8 @@ class FlowSystem:
         no ``center``, as in the center factor's own run, every step
         factors its Jacobian.  The forcing term's safeguard reads ``tol``.
         The linear saddle matrix at mu is evaluated once per solve, the
-        Jacobian operator once per step."""
+        Jacobian operator once per step; a factored step assembles its
+        whole Jacobian (``_saddle_matrix``)."""
         lam = 0.0
         ref = self.residual_reference(mu)
         k_lin = self._saddle_matrix(mu)
@@ -648,7 +634,7 @@ class FlowSystem:
             forcings.append(forcing)
             delta = self._solve_linear(
                 self.jacobian_action(mu, u_t, k_lin), -r, forcing, forcing,
-                lambda: self._saddle_matrix(mu, u_t, k_lin), kept, krylov,
+                lambda: self._saddle_matrix(mu, u_t), kept, krylov,
                 rconds, f"newton step {iterations} at mu={tuple(mu)}")
             du, dp, dl = self._split(delta)
             u_full += du

@@ -26,10 +26,6 @@ class NonConvergenceError(RuntimeError):
         super().__init__(message)
 
 
-class PointNotFoundError(ValueError):
-    """Evaluation point lies outside every mesh triangle."""
-
-
 def parallel_map(fn: Callable, items: Iterable, threads: int = 1) -> list:
     """Map ``fn`` over ``items`` with a thread pool, preserving input order.
 

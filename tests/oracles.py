@@ -13,9 +13,12 @@ from cavityrb.fespace import FeFunction, FunctionSpace, shape_dlam, shape_values
 from cavityrb.hifi import NEWTON_MAX_ITER, NEWTON_TOL
 from cavityrb.linalg import SparseLU
 from cavityrb.mesh import Mesh
-from cavityrb.util import PointNotFoundError
 
 _PI = np.pi
+
+
+class PointNotFoundError(ValueError):
+    """Evaluation point lies outside every mesh triangle."""
 
 
 def interpolate(space: FunctionSpace, fn) -> FeFunction:
@@ -87,10 +90,9 @@ def manufactured_velocity(x, y):
 def direct_stokes(system, mu):
     """(u_full, p) of the Stokes saddle system at mu from one direct
     ``SparseLU`` solve of its matrix."""
-    k = system._saddle_matrix(mu)
-    r0 = system._linear_residual([mu], {"v": system.lifting.values[:, None]})
-    rhs = np.concatenate([-r0["v"][system.free, 0], -r0["p"][:, 0], [0.0]])
-    u, p, _ = system._split(SparseLU(k).solve(rhs))
+    rhs = -system.residual(mu, np.zeros(system.velocity_space.dof_count),
+                           np.zeros(system.n_pressure))
+    u, p, _ = system._split(SparseLU(system._saddle_matrix(mu)).solve(rhs))
     return u, p
 
 

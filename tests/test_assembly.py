@@ -46,7 +46,6 @@ def test_theta_values_at_benchmark_point():
     assert g.theta("nu", MU) == pytest.approx(0.6)
     assert g.theta("nu_over_a", MU) == pytest.approx(0.4)
     assert g.theta("nu_times_a", MU) == pytest.approx(0.9)
-    assert g.theta("nu_sq", MU) == pytest.approx(0.36)
     with pytest.raises(ValueError):
         g.theta("bogus", MU)
 
@@ -313,6 +312,11 @@ def test_stabilization_config_validation():
         StabilizationConfig("BrezziPitkaranta", 0.1, rho=1.0)
     with pytest.raises(ValueError):
         StabilizationConfig("ResidualBased", 0.1, rho=0.5)
+    # only ResidualBased has momentum-row terms for rho to select
+    with pytest.raises(ValueError):
+        StabilizationConfig("EdgeJumpP1P0", 0.05, rho=1.0)
+    with pytest.raises(ValueError):
+        StabilizationConfig("None", 0.0, rho=-1.0)
     assert not StabilizationConfig().active
     assert not StabilizationConfig("BrezziPitkaranta", 0.0).active
     assert StabilizationConfig("BrezziPitkaranta", 0.05).active

@@ -128,6 +128,23 @@ def test_negative_delta_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pair,method,delta,rho", [
+    ("P1P0", "EdgeJumpP1P0", 0.05, 1.0),
+    ("P2P1", "None", 0.0, -1.0),
+])
+def test_rho_outside_residual_based_exits_2(tmp_path, capsys, pair, method,
+                                            delta, rho):
+    text = f"fe_pair = {pair}\nstabilization.method = {method}\n" \
+           f"stabilization.delta = {delta}\nstabilization.rho = {rho}\n" \
+           "seed = 1\n"
+    path = write_config(tmp_path, text)
+    code = main(["fe-solve", "--config", path, "--mu1", "0.5",
+                 "--mu2", "2.0", "--out", str(tmp_path)])
+    assert code == 2
+    assert "supports rho = 0 only" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "fe_solve.txt")
+
+
 def test_unstabilized_equal_order_exits_3(tmp_path, capsys):
     text = "fe_pair = P1P1\nmesh.nx = 8\nmesh.ny = 4\nseed = 1\n"
     path = write_config(tmp_path, text)

@@ -7,8 +7,7 @@ from cavityrb.fespace import (FeFunction, interpolate_lifting, make_space,
                               shape_values, vertex_point_fields,
                               zero_function)
 from cavityrb.mesh import LID, WALL, build_rect_mesh
-from cavityrb.util import PointNotFoundError
-from oracles import eval_gradient, fe_eval, interpolate
+from oracles import PointNotFoundError, eval_gradient, fe_eval, interpolate
 
 
 @pytest.mark.parametrize("family,expected", [("P1", 4), ("P2", 9), ("P0", 2)])

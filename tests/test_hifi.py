@@ -386,6 +386,9 @@ def test_jacobian_action_matches_assembled_jacobian(pair, method, delta):
     u[system.free] = rng.standard_normal(system.n_free)
     u_t = u + system.lifting.values
     jac = system._saddle_matrix(mu, u_t)
+    # a factored step sees the Jacobian's nonzeros alone, not the zeros
+    # its blocks store (the quadratic kernels' structural ones among them)
+    assert jac.nnz == np.count_nonzero(jac.data)
     op = system.jacobian_action(mu, u_t, system._saddle_matrix(mu))
     assert op.shape == jac.shape
     # one operator serves every Krylov iteration of its step
@@ -444,6 +447,15 @@ def test_newton_requires_ns_configuration(stokes_bp):
     system, _ = stokes_bp
     with pytest.raises(ValueError):
         system.solve_navier_stokes((0.5, 2.0))
+
+
+def test_stokes_solve_requires_stokes_configuration():
+    # its right-hand side is minus the zero-state residual, which for
+    # Navier-Stokes holds the convection of the lifting
+    cfg = ProblemConfig("navier_stokes", "P2P2",
+                        StabilizationConfig("SUPGFamily", 1.0))
+    with pytest.raises(ValueError, match="not Stokes"):
+        FlowSystem(cfg, 4, 2).solve_stokes((150.0, 2.0))
 
 
 def test_total_velocity_adds_lifting(stokes_bp):
@@ -803,16 +815,17 @@ def test_saddle_table_matches_named_blocks(problem, pair, method, delta,
         p = rng.standard_normal(system.n_pressure)
         want = _named_residual(system, mu, u, p, 0.3, force)
         assert _rel(system.residual(mu, u, p, 0.3), want) <= 1e-13
-        # the Stokes solve: the named matrix and right-hand side
-        rhs = np.concatenate([fbar.evaluate(g, mu)[system.free],
-                              gbar.evaluate(g, mu), [0.0]])
-        x = scipy.sparse.linalg.spsolve(k, rhs)
-        sol = system.solve_stokes(mu)
-        assert _rel(sol.velocity.values[system.free],
-                    x[:system.n_free]) <= 1e-10
-        assert _rel(sol.pressure.values,
-                    x[system.n_free:-1]) <= 1e-10
-        if problem == "navier_stokes":
+        if problem == "stokes":
+            # the Stokes solve: the named matrix and right-hand side
+            rhs = np.concatenate([fbar.evaluate(g, mu)[system.free],
+                                  gbar.evaluate(g, mu), [0.0]])
+            x = scipy.sparse.linalg.spsolve(k, rhs)
+            sol = system.solve_stokes(mu)
+            assert _rel(sol.velocity.values[system.free],
+                        x[:system.n_free]) <= 1e-10
+            assert _rel(sol.pressure.values,
+                        x[system.n_free:-1]) <= 1e-10
+        else:
             u_t = u + system.lifting.values
             assert _rel(system._saddle_matrix(mu, u_t),
                         _named_jacobian(system, mu, u_t)) <= 1e-13

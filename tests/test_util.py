@@ -7,14 +7,13 @@ import pytest
 
 from cavityrb.mesh import build_rect_mesh
 from cavityrb.util import (ConfigError, NonConvergenceError,
-                           PointNotFoundError, SingularSystemError,
-                           csv_escape, fmt17, parallel_map, write_csv)
+                           SingularSystemError, csv_escape, fmt17,
+                           parallel_map, write_csv)
 from cavityrb.vtk import write_vtk
 
 
 def test_error_types():
     assert issubclass(ConfigError, ValueError)
-    assert issubclass(PointNotFoundError, ValueError)
     err = SingularSystemError("pivot vanished", context="stokes at mu=(1,2)")
     assert err.context == "stokes at mu=(1,2)"
     assert "pivot vanished [stokes at mu=(1,2)]" in str(err)
