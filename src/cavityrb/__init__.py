@@ -11,8 +11,8 @@ drop the stabilization terms.
 from .assembly import GeometryMap, StabilizationConfig
 from .hifi import FeSolution, FlowSystem, ProblemConfig
 from .rb import (GreedyTrace, ReducedModel, SupremizerOperator,
-                 build_reduced_model, greedy_offline, load_model,
-                 modified_infsup, plain_infsup, reconstruct, save_model,
+                 build_reduced_model, greedy_offline, infsup_constants,
+                 load_model, reconstruct, save_model,
                  solve_reduced, truncate_model, with_option)
 from .analysis import (ConvergenceResult, ErrorReport, convergence_study,
                        error_sweep, infsup_profile, manufactured_errors,
@@ -24,8 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "GeometryMap", "StabilizationConfig", "FeSolution", "FlowSystem",
     "ProblemConfig", "GreedyTrace", "ReducedModel", "SupremizerOperator",
-    "build_reduced_model", "greedy_offline", "load_model",
-    "modified_infsup", "plain_infsup", "reconstruct", "save_model",
+    "build_reduced_model", "greedy_offline", "infsup_constants",
+    "load_model", "reconstruct", "save_model",
     "solve_reduced", "truncate_model", "with_option", "ConvergenceResult", "ErrorReport",
     "convergence_study", "error_sweep", "infsup_profile",
     "manufactured_errors", "relative_errors", "ConfigError",

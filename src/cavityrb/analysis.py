@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fespace import (FeFunction, bary_coords, make_space, shape_dlam,
-                      shape_values, zero_function)
+from .fespace import (bary_coords, make_space, shape_dlam, shape_values,
+                      zero_function)
 from .hifi import PAIRS, FeSolution, FlowSystem, ProblemConfig
 from .mesh import build_rect_mesh
 from .quadrature import triangle_rule
-from .rb import (ReducedModel, held_out_parameters, modified_infsup,
-                 plain_infsup, solve_reduced, truncate_model, with_option)
+from .rb import (ReducedModel, held_out_parameters, infsup_constants,
+                 solve_reduced, truncate_model, with_option)
 from .util import NonConvergenceError, SingularSystemError, parallel_map
 
 SWEEP_HEADER = ("N", "option", "field", "norm",
@@ -178,10 +178,6 @@ class ErrorReport:
     failures: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
 
-    @property
-    def header(self):
-        return SWEEP_HEADER
-
 
 def _sweep_point(args):
     model, mu, truth, system = args
@@ -272,14 +268,14 @@ def infsup_profile(model: ReducedModel, grid_n: int = 5,
     """Plain and stabilization-augmented inf-sup constants per option.
 
     Returns (mu1, mu2, option, beta_plain, beta_modified) rows over a
-    grid_n x grid_n parameter grid; for options iii/iv the modified
-    constant coincides with the plain one by construction.
+    grid_n x grid_n parameter grid, one ``rb.infsup_constants`` call per
+    row; for options iii/iv the modified constant coincides with the
+    plain one by construction.
     """
     per_option = {opt: with_option(model, opt) for opt in options}
     rows = []
     for mu in parameter_grid(model.mu1_range, model.mu2_range, grid_n, grid_n):
         for opt in options:
-            om = per_option[opt]
             rows.append((mu[0], mu[1], opt,
-                         plain_infsup(om, mu), modified_infsup(om, mu)))
+                         *infsup_constants(per_option[opt], mu)))
     return rows

@@ -111,10 +111,6 @@ class AffineOperator:
         self.terms = terms
         self.shape = terms[0][1].shape
 
-    @property
-    def q(self) -> int:
-        return len(self.terms)
-
     def __iter__(self):
         """The (theta-tag, matrix) terms, in summation order."""
         return iter(self.terms)

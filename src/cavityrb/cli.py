@@ -20,17 +20,15 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from .assembly import STAB_METHODS, StabilizationConfig, dump_affine_operator
 from .analysis import (INFSUP_HEADER, SWEEP_HEADER, error_sweep,
                        infsup_profile, relative_errors)
-from .fespace import vertex_point_fields
-from .hifi import PAIRS, PROBLEMS, FeSolution, FlowSystem, ProblemConfig
+from .hifi import PAIRS, PROBLEMS, FlowSystem, ProblemConfig
 from .rb import (OPTIONS, greedy_offline, load_model, reconstruct,
                  save_model, solve_reduced, with_option)
 from .util import (ConfigError, NonConvergenceError, SingularSystemError,
                    fmt17, write_csv)
+from .vtk import write_vtk
 
 TRACE_HEADER = ("n", "mu1", "mu2", "max_indicator")
 
@@ -209,22 +207,6 @@ def _write_text(path: str, rc: RunConfig, lines: list[str]) -> None:
             fh.write(line + "\n")
 
 
-def _solution_vtk(path: str, system: FlowSystem, sol: FeSolution,
-                  title: str) -> None:
-    total = sol.total_velocity
-    point_vectors = {"velocity": vertex_point_fields(total)["values"]}
-    if system.pressure_space.family == "P0":
-        write_vtk_kwargs = {"cell_scalars":
-                            {"pressure": sol.pressure.values}}
-    else:
-        write_vtk_kwargs = {"point_scalars":
-                            {"pressure": vertex_point_fields(
-                                sol.pressure)["values"]}}
-    from .vtk import write_vtk
-    write_vtk(path, system.mesh, title=title,
-              point_vectors=point_vectors, **write_vtk_kwargs)
-
-
 def cmd_fe_solve(rc: RunConfig, args) -> int:
     system = build_system(rc)
     mu = _resolve_mu(rc, args)
@@ -243,9 +225,9 @@ def cmd_fe_solve(rc: RunConfig, args) -> int:
         f"relative_residual = {fmt17(float(diag.get('residual', 0.0)))}",
     ]
     _write_text(os.path.join(out, "fe_solve.txt"), rc, lines)
-    _solution_vtk(os.path.join(out, "solution.vtk"), system, sol,
-                  title=f"fe-solve mu=({fmt17(mu[0])},{fmt17(mu[1])}) "
-                        f"seed={rc.seed}")
+    write_vtk(os.path.join(out, "solution.vtk"), sol,
+              title=f"fe-solve mu=({fmt17(mu[0])},{fmt17(mu[1])}) "
+                    f"seed={rc.seed}")
     print(f"fe-solve: mu=({mu[0]:g},{mu[1]:g}) "
           f"iterations={diag.get('iterations')} "
           f"residual={float(diag.get('residual', 0.0)):.3e}")
@@ -315,9 +297,9 @@ def cmd_online(rc: RunConfig, args) -> int:
         f"pressure_rel_err_l2 = {fmt17(ep)}",
     ]
     _write_text(os.path.join(out, "online.txt"), rc, lines)
-    _solution_vtk(os.path.join(out, "online.vtk"), system, sol,
-                  title=f"online option={option} "
-                        f"mu=({fmt17(mu[0])},{fmt17(mu[1])}) seed={rc.seed}")
+    write_vtk(os.path.join(out, "online.vtk"), sol,
+              title=f"online option={option} "
+                    f"mu=({fmt17(mu[0])},{fmt17(mu[1])}) seed={rc.seed}")
     print(f"online: option={option} mu=({mu[0]:g},{mu[1]:g}) "
           f"velocity err={eu:.3e} pressure err={ep:.3e} "
           f"iterations={info.get('iterations')}")

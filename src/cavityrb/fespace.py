@@ -215,15 +215,3 @@ def interpolate_lifting(space: FunctionSpace) -> FeFunction:
         if dof % 2 == 0:                       # horizontal component only
             values[dof] = 1.0
     return FeFunction(space, values)
-
-
-def vertex_point_fields(f: FeFunction) -> dict[str, np.ndarray]:
-    """Vertex-sampled values for VTK export (P2 subsampled at vertices)."""
-    n_v = f.space.mesh.n_vertices
-    if f.space.family == "P0":
-        raise ValueError("P0 fields export as cell data")
-    if f.space.components == 1:
-        return {"values": f.values[:n_v]}
-    vx = f.values[0:2 * n_v:2]
-    vy = f.values[1:2 * n_v:2]
-    return {"values": np.column_stack([vx, vy])}

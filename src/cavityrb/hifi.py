@@ -71,7 +71,7 @@ from .assembly import (
     assemble_stokes_stabilization,
     assemble_viscous,
 )
-from .fespace import FeFunction, FunctionSpace, interpolate_lifting, make_space
+from .fespace import FeFunction, interpolate_lifting, make_space
 from .linalg import SparseLU, release_free_heap
 from .mesh import Mesh, build_rect_mesh
 from .util import NonConvergenceError, SingularSystemError

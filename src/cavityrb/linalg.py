@@ -3,8 +3,7 @@
 Wraps a handful of SciPy routines behind the interfaces the solvers
 need: deterministic CSR assembly into a reusable sparsity pattern,
 sparse and dense LU solves that report singularity instead of silently
-returning garbage, Gram-orthonormalization, and a generalized
-smallest-singular-value solve.
+returning garbage, and Gram-orthonormalization.
 
 Sparse LU uses SuperLU with its default COLAMD column order and
 threshold partial pivoting: a diagonal entry stays the pivot while it is
@@ -211,19 +210,3 @@ def modified_gram_schmidt(vectors, gram, drop_tol: float = 1e-10,
     n = len(vectors[0]) if len(vectors) else 0
     out = np.column_stack(basis) if basis else np.zeros((n, 0))
     return out, kept
-
-
-def smallest_gsv(b: np.ndarray, gram_u: np.ndarray, gram_p: np.ndarray) -> float:
-    """Smallest generalized singular value of a dense divergence block.
-
-    Computes sqrt(lambda_min) of  (B Xu^{-1} B^T) q = lambda Xp q,
-    i.e. the inf-sup constant of B measured in the Xu / Xp inner
-    products.
-    """
-    b = np.asarray(b, dtype=float)
-    cho = scipy.linalg.cho_factor(np.asarray(gram_u, dtype=float))
-    m = b @ scipy.linalg.cho_solve(cho, b.T)
-    m = 0.5 * (m + m.T)
-    w = scipy.linalg.eigh(m, np.asarray(gram_p, dtype=float), eigvals_only=True)
-    return float(np.sqrt(max(w[0], 0.0)))
-

@@ -27,20 +27,17 @@ class Mesh:
     cell_edges : (n_t, 3) int array
         Global edge id of the local edges (v0,v1), (v1,v2), (v2,v0).
     interior_edges : (n_ie,) int array of edge ids
-    interior_edge_tris : (n_ie, 2) int array
-        The two triangles sharing each interior edge (left = lower id).
+    edge_tris : (n_e, 2) int array
+        The triangles sharing each edge, lower id first; -1 on the boundary.
     boundary_edges : (n_be,) int array of edge ids
     boundary_edge_tags : list of str, one of LID or WALL
     element_diameters : (n_t,) float array, longest edge per triangle
     """
 
     def __init__(self, vertices: np.ndarray, triangles: np.ndarray,
-                 boundary_tags: dict[tuple[int, int], str],
-                 length: float, height: float):
+                 boundary_tags: dict[tuple[int, int], str]):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=np.int64)
-        self.length = float(length)
-        self.height = float(height)
         self.n_vertices = self.vertices.shape[0]
         self.n_triangles = self.triangles.shape[0]
 
@@ -96,7 +93,6 @@ class Mesh:
         adjacency[second, 1] = sorted_tris[starts[second] + 1]
         adjacency[second] = np.sort(adjacency[second], axis=1)
         self.edge_tris = adjacency
-        self.interior_edge_tris = adjacency[self.interior_edges]
 
         ev = self.vertices[edges]
         self.edge_lengths = np.linalg.norm(ev[:, 1] - ev[:, 0], axis=1)
@@ -154,4 +150,4 @@ def build_rect_mesh(length: float, height: float, nx: int, ny: int) -> Mesh:
         tags[tuple(sorted((vid(0, j), vid(0, j + 1))))] = WALL
         tags[tuple(sorted((vid(nx, j), vid(nx, j + 1))))] = WALL
 
-    return Mesh(vertices, tris, tags, length, height)
+    return Mesh(vertices, tris, tags)

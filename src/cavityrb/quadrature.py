@@ -1,4 +1,4 @@
-"""Gauss quadrature on the reference triangle and on edges.
+"""Gauss quadrature on the reference triangle.
 
 Triangle rules are built from tensor Gauss-Legendre rules through the
 Duffy (collapsed square) transform x = u(1-v), y = uv with Jacobian u,

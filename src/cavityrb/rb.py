@@ -43,8 +43,7 @@ from .assembly import AffineOperator, GeometryMap
 from .hifi import (QUADRATIC_TERMS, SADDLE_BLOCKS, VISCOSITY_MODES,
                    FeSolution, FlowSystem)
 from .fespace import FeFunction
-from .linalg import (SparseLU, dense_lu_solve, modified_gram_schmidt,
-                     smallest_gsv)
+from .linalg import SparseLU, dense_lu_solve, modified_gram_schmidt
 from .util import NonConvergenceError, SingularSystemError, fmt17
 
 OPTIONS = ("i", "ii", "iii", "iv")
@@ -726,40 +725,36 @@ def greedy_offline(system: FlowSystem, n_max: int, train_size: int,
 # inf-sup diagnostics
 
 
-def plain_infsup(model: ReducedModel, mu) -> float:
-    """Classic reduced inf-sup constant of the option's divergence block."""
-    n = model.n_vel
-    b_mu = model.b.evaluate(model.geometry(), mu)[:, :n]
-    return smallest_gsv(b_mu, model.xu[:n, :n], model.xp)
+def infsup_constants(model: ReducedModel, mu) -> tuple[float, float]:
+    """Plain and stabilization-augmented reduced inf-sup constants.
 
-
-def modified_infsup(model: ReducedModel, mu) -> float:
-    """Stabilization-augmented reduced inf-sup constant.
-
-    min over the reduced pressure space of
-    sqrt(q^T B Xu^-1 B^T q) + sqrt(q^T S q), with q normalized in X_p;
-    evaluated on the eigenbasis of the combined quadratic form.
-    Options iii/iv (and unstabilized models) drop the S term, making
-    this the plain inf-sup constant.
+    Both read the Schur complement M = B Xu^-1 B^T of the option's
+    divergence block.  The plain constant is sqrt(lambda_min) of
+    M q = lambda Xp q.  The modified one is the min over the reduced
+    pressure space of sqrt(q^T M q) + sqrt(q^T S q), with q normalized
+    in X_p, evaluated on the eigenbasis of M + S.  Options iii/iv (and
+    unstabilized models) drop the S term, making it the plain constant.
     """
     geom = model.geometry()
     n = model.n_vel
     b_mu = model.b.evaluate(geom, mu)[:, :n]
     cho = scipy.linalg.cho_factor(model.xu[:n, :n])
-    m1 = b_mu @ scipy.linalg.cho_solve(cho, b_mu.T)
-    m1 = 0.5 * (m1 + m1.T)
+    m = b_mu @ scipy.linalg.cho_solve(cho, b_mu.T)
+    m = 0.5 * (m + m.T)
+    w = scipy.linalg.eigh(m, model.xp, eigvals_only=True)
+    plain = float(np.sqrt(max(w[0], 0.0)))
     if model.stab_online:
         s_mu = model.spq.evaluate(geom, mu)
     else:
-        s_mu = np.zeros_like(m1)
-    w, vecs = scipy.linalg.eigh(m1 + s_mu, model.xp)
+        s_mu = np.zeros_like(m)
+    _, vecs = scipy.linalg.eigh(m + s_mu, model.xp)
     best = np.inf
     for col in range(vecs.shape[1]):
         q = vecs[:, col]
-        val = np.sqrt(max(q @ m1 @ q, 0.0)) + np.sqrt(max(q @ s_mu @ q, 0.0))
+        val = np.sqrt(max(q @ m @ q, 0.0)) + np.sqrt(max(q @ s_mu @ q, 0.0))
         nrm = np.sqrt(q @ model.xp @ q)
         best = min(best, val / nrm)
-    return float(best)
+    return plain, float(best)
 
 
 # ---------------------------------------------------------------------------

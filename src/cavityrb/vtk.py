@@ -1,28 +1,24 @@
-"""Legacy ASCII VTK export of meshes and nodal/cell fields."""
+"""Legacy ASCII VTK export of a flow solution."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from .mesh import Mesh
+from .hifi import FeSolution
 from .util import fmt17
 
 
-def write_vtk(path: str, mesh: Mesh, title: str = "cavityrb output",
-              point_vectors: dict[str, np.ndarray] | None = None,
-              point_scalars: dict[str, np.ndarray] | None = None,
-              cell_scalars: dict[str, np.ndarray] | None = None) -> None:
+def write_vtk(path: str, solution: FeSolution, title: str) -> None:
     """Write a legacy VTK unstructured grid (CELL_TYPE 5 triangles).
 
-    Point fields must have one row per mesh vertex; higher-order spaces
-    are exported by vertex subsampling.  The title line is truncated to
-    the 255 characters the legacy format allows.
+    The total velocity goes out at the mesh vertices, whose dofs come
+    first in every space, so P2 is sampled there; the pressure too, or
+    as cell data for P0.  The title line is truncated to the 255
+    characters the legacy format allows.
     """
-    point_vectors = point_vectors or {}
-    point_scalars = point_scalars or {}
-    cell_scalars = cell_scalars or {}
+    pressure = solution.pressure
+    mesh = pressure.space.mesh
     n_v = mesh.n_vertices
     n_t = mesh.n_triangles
+    velocity = solution.total_velocity.values[:2 * n_v].reshape(n_v, 2)
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 2.0\n")
@@ -36,34 +32,18 @@ def write_vtk(path: str, mesh: Mesh, title: str = "cavityrb output",
         for a, b, c in mesh.triangles:
             fh.write(f"3 {a} {b} {c}\n")
         fh.write(f"CELL_TYPES {n_t}\n")
-        for _ in range(n_t):
-            fh.write("5\n")
+        fh.write("5\n" * n_t)
 
-        if point_vectors or point_scalars:
-            fh.write(f"POINT_DATA {n_v}\n")
-            for name, values in point_vectors.items():
-                values = np.asarray(values)
-                if values.shape != (n_v, 2):
-                    raise ValueError(f"vector field {name}: expected shape ({n_v}, 2)")
-                fh.write(f"VECTORS {name} double\n")
-                for vx, vy in values:
-                    fh.write(f"{fmt17(vx)} {fmt17(vy)} 0\n")
-            for name, values in point_scalars.items():
-                values = np.asarray(values)
-                if values.shape != (n_v,):
-                    raise ValueError(f"scalar field {name}: expected shape ({n_v},)")
-                fh.write(f"SCALARS {name} double\n")
-                fh.write("LOOKUP_TABLE default\n")
-                for s in values:
-                    fh.write(fmt17(s) + "\n")
-
-        if cell_scalars:
+        fh.write(f"POINT_DATA {n_v}\n")
+        fh.write("VECTORS velocity double\n")
+        for vx, vy in velocity:
+            fh.write(f"{fmt17(vx)} {fmt17(vy)} 0\n")
+        if pressure.space.family == "P0":
             fh.write(f"CELL_DATA {n_t}\n")
-            for name, values in cell_scalars.items():
-                values = np.asarray(values)
-                if values.shape != (n_t,):
-                    raise ValueError(f"cell field {name}: expected shape ({n_t},)")
-                fh.write(f"SCALARS {name} double\n")
-                fh.write("LOOKUP_TABLE default\n")
-                for s in values:
-                    fh.write(fmt17(s) + "\n")
+            values = pressure.values
+        else:
+            values = pressure.values[:n_v]
+        fh.write("SCALARS pressure double\n")
+        fh.write("LOOKUP_TABLE default\n")
+        for s in values:
+            fh.write(fmt17(s) + "\n")

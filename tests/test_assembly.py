@@ -27,7 +27,7 @@ MU = (0.6, 2.0)          # a = 1.5, nu = 0.6 with mu_bar2 = 1
 def unit_triangle_mesh() -> Mesh:
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tags = {(0, 1): WALL, (1, 2): WALL, (0, 2): WALL}
-    return Mesh(verts, np.array([[0, 1, 2]]), tags, 1.0, 1.0)
+    return Mesh(verts, np.array([[0, 1, 2]]), tags)
 
 
 def spaces(mesh, vfam="P1", pfam="P1"):
@@ -89,7 +89,7 @@ def test_affine_operator_validation():
     with pytest.raises(ValueError):
         AffineOperator([("weird", m)])
     op = AffineOperator([("one", m), ("a", 2.0 * m)])
-    assert op.q == 2
+    assert len(op.terms) == 2
     got = op.evaluate(GeometryMap(), MU)
     assert np.allclose(got, (1.0 + 2.0 * 1.5) * m)
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from cavityrb.fespace import (FeFunction, interpolate_lifting, make_space,
-                              shape_values, vertex_point_fields,
-                              zero_function)
+                              shape_values, zero_function)
 from cavityrb.mesh import LID, WALL, build_rect_mesh
 from oracles import PointNotFoundError, eval_gradient, fe_eval, interpolate
 
@@ -148,18 +147,3 @@ def test_lifting_requires_vector_space():
     mesh = build_rect_mesh(1.0, 1.0, 1, 1)
     with pytest.raises(ValueError):
         interpolate_lifting(make_space(mesh, "P1", 1))
-
-
-def test_vertex_point_fields_shapes():
-    mesh = build_rect_mesh(2.0, 1.0, 2, 2)
-    vec = make_space(mesh, "P2", 2)
-    f = interpolate(vec, lambda x, y: (y, x))
-    out = vertex_point_fields(f)["values"]
-    assert out.shape == (mesh.n_vertices, 2)
-    assert np.allclose(out[:, 0], mesh.vertices[:, 1])
-    scal = make_space(mesh, "P1", 1)
-    g = interpolate(scal, lambda x, y: x)
-    assert vertex_point_fields(g)["values"].shape == (mesh.n_vertices,)
-    p0 = make_space(mesh, "P0", 1)
-    with pytest.raises(ValueError):
-        vertex_point_fields(zero_function(p0))

@@ -10,7 +10,7 @@ from cavityrb.assembly import StabilizationConfig, assemble_gram
 from cavityrb.fespace import make_space
 from cavityrb.hifi import FlowSystem, ProblemConfig
 from cavityrb.linalg import (RCOND_TOL, CsrPattern, SparseLU, dense_lu_solve,
-                             modified_gram_schmidt, smallest_gsv)
+                             modified_gram_schmidt)
 from cavityrb.mesh import build_rect_mesh
 from cavityrb.util import SingularSystemError
 
@@ -284,26 +284,6 @@ def test_mgs_gram_images_match_matvec_oracle(family):
     assert got_kept == want_kept == [0, 2, 3]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert np.abs(basis.T @ (gram @ got)).max() <= 1e-10
-
-
-def test_smallest_gsv_identity():
-    assert smallest_gsv(np.eye(2), np.eye(2), np.eye(2)) == pytest.approx(1.0)
-
-
-def test_smallest_gsv_diagonal():
-    b = np.diag([2.0, 0.5])
-    assert smallest_gsv(b, np.eye(2), np.eye(2)) == pytest.approx(0.5)
-
-
-def test_smallest_gsv_zero():
-    assert smallest_gsv(np.zeros((2, 3)), np.eye(3), np.eye(2)) \
-        == pytest.approx(0.0, abs=1e-12)
-
-
-def test_smallest_gsv_gram_weighted():
-    # B Xu^-1 B^T = diag(4, 9) against Xp = diag(4, 9): unit ratio
-    got = smallest_gsv(np.diag([2.0, 3.0]), np.eye(2), np.diag([4.0, 9.0]))
-    assert got == pytest.approx(1.0, rel=1e-12)
 
 
 def test_csr_pattern_sums_duplicates():

@@ -10,7 +10,7 @@ def unit_right_triangle() -> Mesh:
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
     tags = {(0, 1): WALL, (1, 2): WALL, (0, 2): WALL}
-    return Mesh(verts, tris, tags, 1.0, 1.0)
+    return Mesh(verts, tris, tags)
 
 
 def test_single_cell_counts():
@@ -74,7 +74,7 @@ def test_edge_classification_partition():
     assert np.all(m.edge_tris[m.interior_edges, 1] >= 0)
     assert np.all(m.edge_tris[m.boundary_edges, 1] == -1)
     # the two triangles of an interior edge are ordered lower id first
-    pairs = m.interior_edge_tris
+    pairs = m.edge_tris[m.interior_edges]
     assert np.all(pairs[:, 0] < pairs[:, 1])
 
 
@@ -98,10 +98,10 @@ def test_clockwise_triangle_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tags = {(0, 1): WALL, (1, 2): WALL, (0, 2): WALL}
     with pytest.raises(ValueError):
-        Mesh(verts, np.array([[0, 2, 1]]), tags, 1.0, 1.0)
+        Mesh(verts, np.array([[0, 2, 1]]), tags)
 
 
 def test_untagged_boundary_edge_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        Mesh(verts, np.array([[0, 1, 2]]), {(0, 1): WALL}, 1.0, 1.0)
+        Mesh(verts, np.array([[0, 1, 2]]), {(0, 1): WALL})

@@ -18,8 +18,8 @@ from cavityrb.rb import (_AXES, _LIFTING_RHS, OPTIONS, RB_NEWTON_TOL,
                          GreedyTrace, ReducedModel, SupremizerOperator,
                          _anchor, _map_axes,
                          build_reduced_model, fe_indicator, greedy_offline,
-                         held_out_parameters, load_model, modified_infsup,
-                         plain_infsup, reconstruct, save_model,
+                         held_out_parameters, infsup_constants, load_model,
+                         reconstruct, save_model,
                          solve_reduced, training_grid, truncate_model,
                          with_option)
 from cavityrb.util import NonConvergenceError, SingularSystemError
@@ -769,21 +769,37 @@ def test_online_on_singular_model_exits_3(stokes_rb, tmp_path, capsys):
 
 
 def _toy_model(stokes_model, b_mat, xu, xp, spq=None, option="i"):
-    # two velocity and two pressure columns, so every block agrees in
-    # shape with the toy ones
-    toy = _map_axes(stokes_model, {"v": 2, "p": 2})
+    # as many velocity and pressure columns as B has, so every block
+    # agrees in shape with the toy ones
+    n_p, n_v = np.shape(b_mat)
+    toy = _map_axes(stokes_model, {"v": n_v, "p": n_p})
     toy.update(
         b=[("one", np.asarray(b_mat, dtype=float))],
         xu=np.asarray(xu, dtype=float), xp=np.asarray(xp, dtype=float),
         spq=None if spq is None else [("one", np.asarray(spq, dtype=float))])
-    return dataclasses.replace(stokes_model, option=option, n_u=2, **toy)
+    return dataclasses.replace(stokes_model, option=option, n_u=n_v, **toy)
+
+
+@pytest.mark.parametrize("b_mat,xu,xp,beta", [
+    (np.eye(2), np.eye(2), np.eye(2), 1.0),
+    (np.diag([2.0, 0.5]), np.eye(2), np.eye(2), 0.5),
+    (np.zeros((2, 3)), np.eye(3), np.eye(2), 0.0),
+], ids=["identity", "diagonal", "zero"])
+def test_infsup_constants_plain(stokes_rb, b_mat, xu, xp, beta):
+    _, model, _ = stokes_rb
+    toy = _toy_model(model, b_mat, xu, xp)
+    # without S the modified constant is the plain one
+    assert infsup_constants(toy, (0.5, 2.0)) \
+        == pytest.approx((beta, beta), rel=1e-12, abs=1e-12)
 
 
 def test_plain_infsup_hand_example(stokes_rb):
+    # B Xu^-1 B^T = diag(4, 9) against Xp = diag(4, 9): unit ratio
     _, model, _ = stokes_rb
     toy = _toy_model(model, np.diag([2.0, 3.0]), np.eye(2),
                      np.diag([4.0, 9.0]))
-    assert plain_infsup(toy, (0.5, 2.0)) == pytest.approx(1.0, rel=1e-12)
+    assert infsup_constants(toy, (0.5, 2.0)) \
+        == pytest.approx((1.0, 1.0), rel=1e-12)
 
 
 def test_modified_infsup_hand_examples(stokes_rb):
@@ -791,11 +807,13 @@ def test_modified_infsup_hand_examples(stokes_rb):
     zero_b = np.zeros((2, 2))
     no_stab = _toy_model(model, zero_b, np.eye(2), np.eye(2),
                          spq=np.zeros((2, 2)))
-    assert modified_infsup(no_stab, (0.5, 2.0)) == pytest.approx(0.0, abs=1e-14)
+    assert infsup_constants(no_stab, (0.5, 2.0)) \
+        == pytest.approx((0.0, 0.0), abs=1e-14)
     stab_only = _toy_model(model, zero_b, np.eye(2), np.eye(2),
                            spq=np.diag([4.0, 9.0]))
-    assert modified_infsup(stab_only, (0.5, 2.0)) \
-        == pytest.approx(2.0, rel=1e-12)
+    plain, modified = infsup_constants(stab_only, (0.5, 2.0))
+    assert plain == pytest.approx(0.0, abs=1e-14)
+    assert modified == pytest.approx(2.0, rel=1e-12)
 
 
 def test_modified_dominates_plain(stokes_rb):
@@ -803,11 +821,10 @@ def test_modified_dominates_plain(stokes_rb):
     rng = np.random.default_rng(11)
     for _ in range(4):
         mu = (rng.uniform(0.25, 0.75), rng.uniform(1.0, 3.0))
-        assert modified_infsup(model, mu) >= plain_infsup(model, mu) - 1e-12
-    m3 = with_option(model, "iii")
-    mu = (0.5, 1.5)
-    assert modified_infsup(m3, mu) == pytest.approx(plain_infsup(m3, mu),
-                                                    rel=1e-8)
+        plain, modified = infsup_constants(model, mu)
+        assert modified >= plain - 1e-12
+    plain, modified = infsup_constants(with_option(model, "iii"), (0.5, 1.5))
+    assert modified == pytest.approx(plain, rel=1e-8)
 
 
 def test_supremizers_raise_the_plain_infsup(stokes_rb):
@@ -816,7 +833,7 @@ def test_supremizers_raise_the_plain_infsup(stokes_rb):
     rng = np.random.default_rng(13)
     for _ in range(3):
         mu = (rng.uniform(0.25, 0.75), rng.uniform(1.0, 3.0))
-        assert plain_infsup(model, mu) > plain_infsup(m2, mu)
+        assert infsup_constants(model, mu)[0] > infsup_constants(m2, mu)[0]
 
 
 # ---------------------------------------------------------------------------
