@@ -784,7 +784,9 @@ def _toy_model(stokes_model, b_mat, xu, xp, spq=None, option="i"):
     (np.eye(2), np.eye(2), np.eye(2), 1.0),
     (np.diag([2.0, 0.5]), np.eye(2), np.eye(2), 0.5),
     (np.zeros((2, 3)), np.eye(3), np.eye(2), 0.0),
-], ids=["identity", "diagonal", "zero"])
+    # B Xu^-1 B^T = diag(4, 9) against Xp = diag(4, 9): unit ratio
+    (np.diag([2.0, 3.0]), np.eye(2), np.diag([4.0, 9.0]), 1.0),
+], ids=["identity", "diagonal", "zero", "gram_weighted"])
 def test_infsup_constants_plain(stokes_rb, b_mat, xu, xp, beta):
     _, model, _ = stokes_rb
     toy = _toy_model(model, b_mat, xu, xp)
